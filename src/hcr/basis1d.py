@@ -209,21 +209,36 @@ class Family1D:
         self._check_order(j)
         if p not in (0, 1, 2):
             raise ValueError("moment power must be 0, 1 or 2")
+        return float(self.moment_table()[p, j])
+
+    def moment_table(self) -> np.ndarray:
+        """Read-only (3, max_order+1) array of integrate_moment(j, p) at [p, j]."""
         if self.is_discrete:
             raise ValueError("discrete family has no continuous moments")
-        if self.kind == LEGENDRE:
-            # orthogonality kills every j > p; low-order cases are exact
-            table = {
-                (0, 0): 1.0,
-                (1, 0): 0.5,
-                (1, 1): _SQ3 / 6.0,
-                (2, 0): 1.0 / 3.0,
-                (2, 1): _SQ3 / 6.0,
-                (2, 2): _SQ5 / 30.0,
-            }
-            return table.get((p, j), 0.0)
+        return _moment_table(self)
+
+
+@lru_cache(maxsize=None)
+def _moment_table(family: Family1D) -> np.ndarray:
+    m = family.max_order
+    if family.kind == LEGENDRE:
+        # orthogonality kills every j > p; low-order cases are exact
+        exact = {
+            (0, 0): 1.0,
+            (1, 0): 0.5,
+            (1, 1): _SQ3 / 6.0,
+            (2, 0): 1.0 / 3.0,
+            (2, 1): _SQ3 / 6.0,
+            (2, 2): _SQ5 / 30.0,
+        }
+        table = np.array([[exact.get((p, j), 0.0) for j in range(m + 1)] for p in range(3)])
+    else:
         nodes, weights = gauss_nodes(96)
-        return float(np.sum(weights * nodes**p * self.eval(j, nodes)))
+        values = family.eval_all(nodes)
+        table = np.array([[np.sum(weights * nodes**p * values[j]) for j in range(m + 1)]
+                          for p in range(3)])
+    table.setflags(write=False)
+    return table
 
 
 def legendre(max_order: int) -> Family1D:

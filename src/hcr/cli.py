@@ -293,14 +293,19 @@ def cmd_transform(args) -> int:
     if not text or text[0].strip() != TRANSFORMS_MAGIC:
         raise TableError("not a transforms file (bad magic line)")
     transforms = [Identity() for _ in range(data.d)]
-    for raw in text[1:]:
+    for lineno, raw in enumerate(text[1:], start=2):
         if not raw.strip():
             continue
         parts = raw.split()
-        i = int(parts[1])
-        if not 0 <= i < data.d:
-            raise TableError(f"transform column {i} out of range")
-        transforms[i] = transform_from_tokens(parts[3:])
+        try:
+            if parts[0] != "column" or len(parts) < 4:
+                raise ValueError("expected 'column <index> <name> <transform...>'")
+            i = int(parts[1])
+            if not 0 <= i < data.d:
+                raise ValueError(f"transform column {i} out of range")
+            transforms[i] = transform_from_tokens(parts[3:])
+        except (IndexError, ValueError) as exc:
+            raise TableError(f"transforms file line {lineno}: {exc}") from None
     back = data.transformed(transforms, invert=True)
     write_table(args.out if args.out else sys.stdout, data.names,
                 [list(r) for r in back.values], args.sep, fmt=_float_cell)

@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import TableError
 
@@ -206,7 +205,9 @@ class Logistic:
     _edge = 1e-15
 
     def apply(self, x):
-        return special.expit(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        e = np.exp(-np.abs(x))  # in (0,1], so neither branch overflows
+        return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
 
     def invert(self, u):
         # endpoints would map to +-inf; nudge inside instead

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .basis1d import Family1D, gauss_nodes
 from .errors import MissingCoordinateError, NonpositiveMassError
@@ -46,15 +45,14 @@ def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     filled = np.where(np.isnan(points), 0.0, points)
     tables = [model.spec.families[i].eval_all(filled[:, i]) for i in range(model.d)]
-    out = np.full(points.shape[0], model.coefficients[(0,) * model.d])
-    for j in model.spec.selected:
-        s = support(j)
-        if not s:
-            continue
+    # one function at a time: a functions-by-points product would hold
+    # |selected| x n values at once
+    out = np.full(points.shape[0], model.coef[0])
+    for a, j in zip(model.coef[1:], model.spec.selected[1:]):
         term = np.ones(points.shape[0])
-        for i in s:
+        for i in support(j):
             term = term * tables[i][j[i]]
-        out += model.coefficients[j] * term
+        out += a * term
     return out
 
 
@@ -68,9 +66,6 @@ def evaluate(model: Model, x) -> float:
         raise MissingCoordinateError(
             f"point is missing coordinates {missing.tolist()}; use conditional_slice"
         )
-    for i in range(model.d):
-        # validates range / discrete grid membership per coordinate
-        model.spec.families[i].eval(0, x[i])
     return float(evaluate_points(model, x[None, :])[0])
 
 
@@ -159,40 +154,44 @@ class ConditionalSlice:
         scale = np.sqrt(2 * np.arange(self.numerator.size) + 1)
         return np.polynomial.legendre.Legendre(self.coef * scale, domain=[0, 1])
 
-    def _derivative_roots(self) -> list[float]:
+    def _trig_derivative_roots(self) -> np.ndarray:
+        """Stationary points of the trig slice, as angles of unit roots.
+
+        With a_k, b_k the sin/cos coefficients of frequency k and
+        z = e^{2 pi i x}, the derivative is proportional to
+        sum_k k [(a_k + i b_k) z^k + (a_k - i b_k) z^-k]; times z^K it is
+        a polynomial of degree 2K whose roots on the unit circle are the
+        real stationary points.
+        """
+        a = self.coef[1::2]  # orders 1, 3, 5, ...: sin of frequency 1, 2, 3, ...
+        b = np.zeros(a.size)
+        b[:self.coef[2::2].size] = self.coef[2::2]  # orders 2, 4, ...: cos
+        freq = a.size
+        k = np.arange(1, freq + 1)
+        poly = np.zeros(2 * freq + 1, dtype=complex)
+        poly[freq + k] = k * (a + 1j * b)
+        poly[freq - k] = k * (a - 1j * b)
+        z = np.polynomial.polynomial.polyroots(poly)
+        on_circle = z[np.abs(np.abs(z) - 1.0) < 1e-6]
+        return np.angle(on_circle) / (2 * np.pi) % 1.0
+
+    def _derivative_roots(self) -> np.ndarray:
         """Stationary points in (0,1), ascending, deduplicated."""
         if self.family.kind == "legendre":
             if self.numerator.size < 3:
-                return []
-            roots = self._poly().deriv().roots()
-            real = sorted(float(r.real) for r in np.atleast_1d(roots)
-                          if abs(r.imag) < 1e-9 and 1e-10 < r.real < 1 - 1e-10)
+                return np.empty(0)
+            roots = np.atleast_1d(self._poly().deriv().roots())
+            real = roots[np.abs(roots.imag) < 1e-9].real
         else:
-            grid = np.linspace(0.0, 1.0, 4097)
-            h = 1e-7
-            dv = (self.evaluate(np.clip(grid + h, 0, 1))
-                  - self.evaluate(np.clip(grid - h, 0, 1)))
-            sign = np.sign(dv)
-            real = []
-            for k in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-                f = lambda t: float(self.evaluate(min(1.0, t + h)) - self.evaluate(max(0.0, t - h)))
-                real.append(float(brentq(f, grid[k], grid[k + 1], xtol=1e-12)))
-            real = sorted(r for r in real if 1e-10 < r < 1 - 1e-10)
-        out: list[float] = []
-        for r in real:
-            if not out or r - out[-1] > 1e-9:
-                out.append(r)
-        return out
+            real = self._trig_derivative_roots()
+        real = np.sort(real[(real > 1e-10) & (real < 1 - 1e-10)])
+        return real[np.concatenate(([True], np.diff(real) > 1e-9))] if real.size else real
 
-    def _interior_minima(self) -> list[float]:
-        h = 1e-4
-        minima = []
-        for r in self._derivative_roots():
-            step = min(h, r / 2, (1 - r) / 2)
-            mid = float(self.evaluate(r))
-            if float(self.evaluate(r - step)) > mid and float(self.evaluate(r + step)) > mid:
-                minima.append(r)
-        return minima
+    def _interior_minima(self) -> np.ndarray:
+        r = self._derivative_roots()
+        step = np.minimum(np.minimum(1e-4, r / 2), (1 - r) / 2)
+        left, mid, right = self.evaluate(np.concatenate([r - step, r, r + step])).reshape(3, -1)
+        return r[(left > mid) & (right > mid)]
 
     def _interval_stats(self, lo: float, hi: float) -> tuple[float, float]:
         """(mass, mean) of the normalized slice restricted to [lo, hi]."""
@@ -207,31 +206,42 @@ class ConditionalSlice:
 
     # -- queries
 
+    def _signed_moments(self) -> tuple[float, float]:
+        """Mean and variance of the slice integrated as-is (signed)."""
+        if self.family.is_discrete:
+            grid = self.family.grid
+            p = self.evaluate(grid) / self.family.v
+            mean = float(np.sum(grid * p))
+            return mean, float(np.sum(grid**2 * p) - mean**2)
+        moments = self.family.moment_table()
+        mean = float(self.coef @ moments[1])
+        return mean, float(self.coef @ moments[2]) - mean * mean
+
+    @property
+    def variance(self) -> float:
+        """Slice variance floored at 0, in closed form (no extrema search)."""
+        return max(self._signed_moments()[1], 0.0)
+
     def expected_value(self) -> SliceMoments:
         """Mean and variance of the slice, flagging negative regions.
 
         A slice with negative parts is integrated as-is (signed) and the
         mean clipped into [0,1]; variance is floored at 0.
         """
-        c = self.coef
+        mean, var = self._signed_moments()
         if self.family.is_discrete:
-            grid = self.family.grid
-            p = self.evaluate(grid) / self.family.v
-            mean = float(np.sum(grid * p))
-            var = float(np.sum(grid**2 * p) - mean**2)
-            negative = bool(np.any(p < 0))
+            negative = bool(np.any(self.evaluate(self.family.grid) < 0))
         else:
-            mean = sum(c[o] * self.family.integrate_moment(o, 1) for o in range(c.size))
-            ex2 = sum(c[o] * self.family.integrate_moment(o, 2) for o in range(c.size))
-            var = ex2 - mean * mean
             negative = self._minimum_value() < 0
         if negative:
             mean = min(1.0, max(0.0, mean))
         return SliceMoments(float(mean), float(max(var, 0.0)), bool(negative))
 
+    def _extrema_candidates(self) -> np.ndarray:
+        return np.concatenate(([0.0, 1.0], self._derivative_roots()))
+
     def _minimum_value(self) -> float:
-        xs = [0.0, 1.0] + self._derivative_roots()
-        return min(float(self.evaluate(x)) for x in xs)
+        return float(np.min(self.evaluate(self._extrema_candidates())))
 
     def top_mode(self) -> tuple[float, bool]:
         """Location of the global maximum; ties resolve to the smaller
@@ -241,8 +251,8 @@ class ConditionalSlice:
             best = int(np.argmax(p))
             tied = int(np.sum(np.abs(p - p[best]) < 1e-12)) > 1
             return float(self.family.grid[best]), tied
-        xs = np.array([0.0, 1.0] + self._derivative_roots())
-        vals = np.array([float(self.evaluate(x)) for x in xs])
+        xs = self._extrema_candidates()
+        vals = self.evaluate(xs)
         best = np.max(vals)
         winners = np.sort(xs[vals > best - 1e-12])
         return float(winners[0]), winners.size > 1
@@ -260,7 +270,7 @@ class ConditionalSlice:
             p = self.evaluate(grid) / self.family.v
             clusters = [Cluster(g, g, float(g), float(m)) for g, m in zip(grid, p)]
         else:
-            cuts = [0.0] + self._interior_minima() + [1.0]
+            cuts = [0.0, *self._interior_minima().tolist(), 1.0]
             clusters = []
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 mass, mean = self._interval_stats(lo, hi)
@@ -312,19 +322,23 @@ def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
         values = {k: float(arr[k]) for k in range(arr.size) if not np.isnan(arr[k])}
     if i in values:
         raise ValueError(f"coordinate {i} is already known")
-    for k, v in values.items():
-        model.spec.families[k].eval(0, v)  # range / grid validation
+    for k in values:
+        if not 0 <= k < model.d:
+            raise ValueError(f"known coordinate {k} out of range")
+    # eval_all validates range and grid membership
+    tables = {k: model.spec.families[k].eval_all(v) for k, v in values.items()}
+    return _slice(model, tables, i)
+
+
+def _slice(model: Model, tables: dict[int, np.ndarray], i: int) -> ConditionalSlice:
+    """conditional_slice from the 1-D tables of the known coordinates."""
+    orders = model.spec.orders
+    unknown = [k for k in range(model.d) if k != i and k not in tables]
+    keep = ~orders[:, unknown].any(axis=1)
+    factor = model.coef[keep] * model.spec.products(tables, keep)
     family = model.spec.families[i]
-    numerator = np.zeros(family.max_order + 1)
-    fixed = set(values)
-    for j in model.spec.selected:
-        s = set(support(j))
-        if not s <= fixed | {i}:
-            continue
-        factor = model.coefficients[j]
-        for k in s - {i}:
-            factor *= model.spec.families[k].eval(j[k], values[k])
-        numerator[j[i]] += factor
+    numerator = np.bincount(orders[keep, i], weights=factor,
+                            minlength=family.max_order + 1)
     denominator = numerator[0]
     if denominator <= 0:
         raise NonpositiveMassError(
@@ -362,29 +376,32 @@ def impute(model: Model, record, policy: str = EXPECTED) -> list[Completion]:
         raise ValueError(f"expected a length-{model.d} record")
     if not np.any(np.isnan(start)):
         raise ValueError("record is already complete")
-    states = [Completion(start.copy(), 1.0, {})]
+    families = model.spec.families
+    known = np.flatnonzero(~np.isnan(start))
+    # each state carries the 1-D tables of its known coordinates
+    states = [(Completion(start.copy(), 1.0, {}),
+               {int(k): families[k].eval_all(start[k]) for k in known})]
     while True:
         missing_any = False
-        next_states: list[Completion] = []
-        for state in states:
+        next_states: list[tuple[Completion, dict]] = []
+        for state, tables in states:
             missing = np.flatnonzero(np.isnan(state.values))
             if missing.size == 0:
-                next_states.append(state)
+                next_states.append((state, tables))
                 continue
             missing_any = True
             slices: dict[int, ConditionalSlice] = {}
             errors: list[Exception] = []
             for i in missing:
                 try:
-                    slices[int(i)] = conditional_slice(model, state.values, int(i))
+                    slices[int(i)] = _slice(model, tables, int(i))
                 except NonpositiveMassError as exc:
                     errors.append(exc)
             if not slices:
                 raise errors[0]
-            moments = {i: s.expected_value() for i, s in slices.items()}
-            target = min(slices, key=lambda i: (moments[i].variance, i))
+            target = min(slices, key=lambda i: (slices[i].variance, i))
             sl = slices[target]
-            mom = moments[target]
+            mom = sl.expected_value()
             notes = state.notes
             if mom.negative_region:
                 notes = notes + (f"negative-region:{model.coordinate_names()[target]}",)
@@ -408,12 +425,14 @@ def impute(model: Model, record, policy: str = EXPECTED) -> list[Completion]:
                     values[target] = k / (sl.family.v - 1)
                 variances = dict(state.variances)
                 variances[target] = mom.variance
-                next_states.append(Completion(values, state.weight * share,
-                                              variances, notes))
+                next_states.append((
+                    Completion(values, state.weight * share, variances, notes),
+                    {**tables, target: sl.family.eval_all(values[target])}))
         states = next_states
         if not missing_any:
             break
-    total = sum(s.weight for s in states)
-    for s in states:
+    completions = [state for state, _ in states]
+    total = sum(s.weight for s in completions)
+    for s in completions:
         s.weight /= total
-    return states
+    return completions

@@ -28,6 +28,8 @@ class Model:
     index is pinned to 1 so the density integrates to 1.  evidence maps
     each tracked support subset to |K_C|; uncertainty holds the standard
     error of each average (NaN when fewer than 2 supporting records).
+    coef holds the same coefficients as a read-only vector aligned with
+    spec.selected; a model is never mutated after construction.
     """
 
     spec: BasisSpec
@@ -44,6 +46,8 @@ class Model:
         for j in self.spec.selected:
             if j not in self.coefficients:
                 raise ValueError(f"coefficient missing for selected index {j}")
+        self.coef = np.array([self.coefficients[j] for j in self.spec.selected])
+        self.coef.setflags(write=False)
         self.uncertainty.setdefault(zero, 0.0)
         self.flags = {j: self.flags.get(j, "") for j in self.spec.selected}
 

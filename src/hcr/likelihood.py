@@ -10,10 +10,9 @@ documented interpretation, not a unique one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, islice, product
 
 import numpy as np
-from scipy.stats import qmc
 
 from .dataset import Dataset
 from .density import evaluate, evaluate_points
@@ -37,6 +36,7 @@ RESCALE_ALL = "rescale-all"
 REDUCE_LARGEST = "reduce-largest"
 
 MAX_BACKTRACKS = 60
+WITNESS_BLOCK = 256  # candidates evaluated per evaluate_points call
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,6 @@ class _Workspace:
             self.usable[rows] = True
         self.complete_rows = np.flatnonzero(data.complete_mask())
 
-    def coef_vector(self, model: Model) -> np.ndarray:
-        return np.array([model.coefficients[j] for j in self.selected])
-
     def densities(self, coef: np.ndarray) -> np.ndarray:
         """Per-record marginal density over the record's known set
         (NaN for unusable records)."""
@@ -167,7 +164,7 @@ def gradient(model: Model, data: Dataset) -> dict[MultiIndex, float]:
     density over its own known set.  The constant's entry is 0.
     """
     ws = _Workspace(model, data)
-    rho = ws.densities(ws.coef_vector(model))
+    rho = ws.densities(model.coef)
     _check_positive(rho, ws)
     vec = ws.gradient_vector(rho)
     return {j: float(g) for j, g in zip(ws.selected, vec)}
@@ -191,7 +188,7 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
     Aborts after 60 shrinks.
     """
     ws = _Workspace(model, data)
-    coef = ws.coef_vector(model)
+    coef = model.coef
     nonconst = np.array([bool(support(j)) for j in ws.selected])
     all_complete = bool(ws.complete_rows.size == ws.data.n) and ws.data.n > 0
     rho = ws.densities(coef)
@@ -251,45 +248,61 @@ def repair_negative(model: Model, witness, strategy: str = RESCALE_ALL,
     rho = evaluate(model, witness)
     if rho >= margin:
         raise ValueError(f"witness density {rho:.6g} already >= margin {margin:.6g}")
-    zero = (0,) * model.d
-    contributions = {}
-    for j in model.spec.selected:
-        if j == zero:
-            continue
-        contributions[j] = model.coefficients[j] * model.spec.eval_function(j, witness)
-    nonconst_sum = sum(contributions.values())  # rho - 1
-    coefficients = dict(model.coefficients)
+    spec = model.spec
+    terms = spec.products({i: fam.eval_all(witness[i]) for i, fam in enumerate(spec.families)})
+    contributions = model.coef * terms  # entry 0 is the constant's 1
+    coef = model.coef.copy()
     if strategy == RESCALE_ALL:
-        t = (margin - 1.0) / nonconst_sum
-        for j in contributions:
-            coefficients[j] = model.coefficients[j] * t
+        t = (margin - 1.0) / np.sum(contributions[1:])  # rho - 1
+        coef[1:] *= t
     else:
-        negatives = {j: c for j, c in contributions.items() if c < 0}
-        target = max(negatives, key=lambda j: abs(negatives[j]))
-        fw = model.spec.eval_function(target, witness)
-        coefficients[target] = model.coefficients[target] + (margin - rho) / fw
-    return model.with_coefficients(coefficients)
+        target = 1 + int(np.argmin(contributions[1:]))  # the largest negative one
+        if contributions[target] >= 0:
+            raise ValueError("no coefficient lowers the density at the witness")
+        coef[target] += (margin - rho) / terms[target]
+    return model.with_coefficients({j: float(a) for j, a in zip(spec.selected, coef)})
 
 
-def _snap_to_grids(model: Model, point: np.ndarray) -> np.ndarray:
-    out = np.array(point, dtype=float)
+def _snap_to_grids(model: Model, points: np.ndarray) -> np.ndarray:
+    out = np.array(points, dtype=float)
     for i, fam in enumerate(model.spec.families):
         if fam.is_discrete:
-            out[i] = np.rint(out[i] * (fam.v - 1)) / (fam.v - 1)
+            out[:, i] = np.rint(out[:, i] * (fam.v - 1)) / (fam.v - 1)
+    return out
+
+
+def _primes(n: int) -> list[int]:
+    out: list[int] = []
+    k = 2
+    while len(out) < n:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+def _halton(d: int, start: int, n: int) -> np.ndarray:
+    """Points start..start+n-1 of the unscrambled Halton sequence: the
+    radical inverse of the point index in the first d prime bases."""
+    out = np.zeros((n, d))
+    for col, base in enumerate(_primes(d)):
+        index = np.arange(start, start + n)
+        scale = 1.0 / base
+        while index.any():
+            out[:, col] += (index % base) * scale
+            scale /= base
+            index //= base
     return out
 
 
 def _candidate_points(d: int):
     for corner in product((0.0, 1.0), repeat=d):
-        yield np.array(corner)
+        yield corner
     for i in range(d):
         for corner in product((0.0, 1.0), repeat=d - 1):
-            p = np.array(corner[:i] + (0.5,) + corner[i:])
-            yield p
-    sampler = qmc.Halton(d=d, scramble=False)
-    while True:
-        for row in sampler.random(128):
-            yield row
+            yield corner[:i] + (0.5,) + corner[i:]
+    for start in count(0, 128):
+        yield from _halton(d, start, 128)
 
 
 def find_negative_witness(model: Model, budget: int = 512):
@@ -301,14 +314,14 @@ def find_negative_witness(model: Model, budget: int = 512):
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    candidates = _candidate_points(model.d)
     best_point = None
     best_value = 0.0
-    for count, raw in enumerate(_candidate_points(model.d)):
-        if count >= budget:
-            break
-        point = _snap_to_grids(model, raw)
-        value = evaluate(model, point)
-        if value < best_value:
-            best_value = value
-            best_point = point
+    for done in range(0, budget, WITNESS_BLOCK):
+        block = _snap_to_grids(model, list(islice(candidates, min(WITNESS_BLOCK, budget - done))))
+        values = evaluate_points(model, block)
+        k = int(np.argmin(values))
+        if values[k] < best_value:
+            best_value = values[k]
+            best_point = block[k]
     return best_point

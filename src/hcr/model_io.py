@@ -73,9 +73,13 @@ def load_model(source) -> Model:
         raise ValueError("not a model file (bad magic line)")
     if int(head[1]) != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {head[1]}")
-    if len(lines) < 2 or lines[1].split()[0] != "dim":
-        raise ValueError("model file missing dim line")
-    d = int(lines[1].split()[1])
+    dim = lines[1].split() if len(lines) > 1 else []
+    if len(dim) != 2 or dim[0] != "dim":
+        raise ValueError("model file line 2: expected 'dim <d>'")
+    try:
+        d = int(dim[1])
+    except ValueError:
+        raise ValueError(f"model file line 2: bad dimension {dim[1]!r}") from None
     names: list[str] = [""] * d
     families: list[Family1D | None] = [None] * d
     transforms: list = [None] * d

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +28,8 @@ __all__ = [
 
 MultiIndex = tuple  # length-d tuple of non-negative int orders
 
+MAX_FUNCTIONS = 1_000_000  # build_full refuses larger bases before building them
+
 
 def support(j: MultiIndex) -> tuple[int, ...]:
     """Coordinates with nonzero order, ascending."""
@@ -44,7 +47,9 @@ class BasisSpec:
     """Per-coordinate families plus the selected multi-index set.
 
     selected is kept in canonical order and always starts with the
-    all-zero index.  Treated as immutable after construction.
+    all-zero index; orders is the same set as a read-only int matrix,
+    row p holding the multi-index of selected[p].  Treated as immutable
+    after construction.
     """
 
     d: int
@@ -66,6 +71,8 @@ class BasisSpec:
                         f"order {j[i]} exceeds coordinate {i} family capacity"
                     )
         self._position = {j: k for k, j in enumerate(self.selected)}
+        self.orders = np.array(self.selected, dtype=np.intp).reshape(len(self.selected), self.d)
+        self.orders.setflags(write=False)
         groups: dict[tuple[int, ...], list[MultiIndex]] = {}
         for j in self.selected:
             s = support(j)
@@ -92,6 +99,20 @@ class BasisSpec:
             lvl = len(support(j))
             counts[lvl] = counts.get(lvl, 0) + 1
         return counts
+
+    def products(self, tables: Mapping[int, np.ndarray], rows=slice(None)) -> np.ndarray:
+        """Per selected function, the product of tables[k][order in k] over
+        the coordinates k in tables.
+
+        tables[k] is the stack of all 1-D orders at one value of
+        coordinate k (Family1D.eval_all of a scalar); rows picks functions
+        by position or mask.  Coordinates left out of tables contribute 1.
+        """
+        orders = self.orders[rows]
+        out = np.ones(orders.shape[0])
+        for k, table in tables.items():
+            out *= table[orders[:, k]]
+        return out
 
     def eval_function(self, j: MultiIndex, x: Sequence[float]) -> float:
         """Product of 1-D factors over support(j); other slots never read."""
@@ -142,6 +163,11 @@ def build_full(d: int, families, level_orders) -> BasisSpec:
     for lvl in range(1, d + 1):
         if lvl not in level_orders:
             raise ValueError(f"level_orders missing level {lvl}")
+    count = 1 + sum(comb(d, lvl) * level_orders[lvl] ** lvl
+                    for lvl in range(1, d + 1) if level_orders[lvl] > 0)
+    if count > MAX_FUNCTIONS:
+        raise ValueError(f"basis would have {count} functions, more than the "
+                         f"limit of {MAX_FUNCTIONS}; lower the orders or drop levels")
     fams = _as_families(d, families)
     selected: list[MultiIndex] = [(0,) * d]
     for lvl in range(1, d + 1):

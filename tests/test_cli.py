@@ -362,3 +362,20 @@ def test_custom_separator_and_missing_tokens(tmp_path, capsys):
                  "--sep", ";", "--missing-tokens", "miss"]) == 0
     text = capsys.readouterr().out
     assert "presence: u 3/3, v 2/3" in text
+
+
+def test_transform_backward_malformed_line_exits_2(tmp_path, capsys):
+    table = tmp_path / "unit.csv"
+    table.write_text("x\n0.5\n")
+    maps = tmp_path / "maps.txt"
+    maps.write_text("hcrtransforms 1\ncolumn\n")
+    assert main(["transform", "--input", str(table), "--direction", "backward",
+                 "--transforms", str(maps)]) == 2
+    assert "transforms file line 2" in capsys.readouterr().err
+
+
+def test_report_blank_dim_line_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text("hcrmodel 1\n\ncolumn 0 x1 legendre 1 - none\ncoef 0 1 4 0 -\n")
+    assert main(["report", "--model", str(model)]) == 2
+    assert "line 2" in capsys.readouterr().err
