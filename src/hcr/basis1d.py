@@ -27,8 +27,6 @@ DISCRETE = "discrete"
 
 _SQ3 = np.sqrt(3.0)
 _SQ5 = np.sqrt(5.0)
-_SQ7 = np.sqrt(7.0)
-_SQ11 = np.sqrt(11.0)
 _SQ2 = np.sqrt(2.0)
 
 
@@ -63,36 +61,12 @@ def _discrete_table(v: int) -> np.ndarray:
     return np.array(rows)
 
 
-def _legendre_closed(j: int, x):
-    if j == 0:
-        return np.ones_like(x)
-    if j == 1:
-        return _SQ3 * (2 * x - 1)
-    if j == 2:
-        return _SQ5 * (6 * x**2 - 6 * x + 1)
-    if j == 3:
-        return _SQ7 * (20 * x**3 - 30 * x**2 + 12 * x - 1)
-    if j == 4:
-        return 3.0 * (70 * x**4 - 140 * x**3 + 90 * x**2 - 20 * x + 1)
-    if j == 5:
-        return _SQ11 * (252 * x**5 - 630 * x**4 + 560 * x**3 - 210 * x**2 + 30 * x - 1)
-    raise ValueError("closed forms stop at order 5")
-
-
-def _legendre_recurrence(j: int, x):
-    """Order-j shifted Legendre value via the three-term recurrence.
-
-    Works on t = 2x-1 with P_n = ((2n-1) t P_{n-1} - (n-1) P_{n-2}) / n,
-    then rescales by sqrt(2j+1) for unit norm on [0,1].
-    """
-    t = 2 * x - 1
-    p_prev = np.ones_like(t)
-    if j == 0:
-        return p_prev
-    p = t
-    for n in range(2, j + 1):
-        p, p_prev = ((2 * n - 1) * t * p - (n - 1) * p_prev) / n, p
-    return np.sqrt(2 * j + 1) * p
+@lru_cache(maxsize=None)
+def _legendre_scale(m: int) -> np.ndarray:
+    """Read-only sqrt(2n+1) for n = 1..m, the unit-norm factors on [0,1]."""
+    scale = np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
+    scale.setflags(write=False)
+    return scale
 
 
 @dataclass(frozen=True)
@@ -147,44 +121,35 @@ class Family1D:
     def eval(self, j: int, x):
         """Value of the order-j function at x (scalar or array) in [0,1]."""
         self._check_order(j)
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("evaluation outside [0,1] is not defined")
-        if self.kind == LEGENDRE:
-            out = _legendre_closed(j, arr) if j <= 5 else _legendre_recurrence(j, arr)
-        elif self.kind == TRIG:
-            if j == 0:
-                out = np.ones_like(arr)
-            else:
-                freq = (j + 1) // 2
-                wave = np.sin if j % 2 == 1 else np.cos
-                out = _SQ2 * wave(2 * np.pi * freq * arr)
-        else:
-            out = _discrete_table(self.v)[j][self._grid_index(arr)]
-        return out if arr.ndim else float(out)
+        out = self.eval_all(x)[j]
+        return out if out.ndim else float(out)
 
     def eval_all(self, x) -> np.ndarray:
         """Stack of all orders 0..max_order evaluated at x, shape (m+1, ...).
 
         Validates the input once, so it is the cheap path for bulk work.
+        Legendre rows follow the three-term recurrence on t = 2x-1,
+        P_n = ((2n-1) t P_{n-1} - (n-1) P_{n-2}) / n, scaled by
+        sqrt(2n+1) for unit norm on [0,1].  NaN passes through.
         """
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if ((arr < 0.0) | (arr > 1.0)).any():
             raise ValueError("evaluation outside [0,1] is not defined")
+        m = self.max_order
+        if self.kind == DISCRETE:
+            return _discrete_table(self.v)[:m + 1, self._grid_index(arr)]
+        out = np.empty((m + 1,) + arr.shape)
+        out[0] = 1.0
         if self.kind == LEGENDRE:
-            rows = [_legendre_closed(j, arr) if j <= 5 else _legendre_recurrence(j, arr)
-                    for j in range(self.max_order + 1)]
-        elif self.kind == TRIG:
-            rows = [np.ones_like(arr)]
-            for j in range(1, self.max_order + 1):
-                freq = (j + 1) // 2
-                wave = np.sin if j % 2 == 1 else np.cos
-                rows.append(_SQ2 * wave(2 * np.pi * freq * arr))
+            t = 2 * arr - 1
+            for n in range(1, m + 1):  # unscaled P_n
+                out[n] = t if n == 1 else ((2 * n - 1) * t * out[n - 1] - (n - 1) * out[n - 2]) / n
+            out[1:] *= _legendre_scale(m).reshape((m,) + (1,) * arr.ndim)
         else:
-            idx = self._grid_index(arr)
-            table = _discrete_table(self.v)
-            rows = [table[j][idx] for j in range(self.max_order + 1)]
-        return np.stack([np.asarray(r, dtype=float) for r in rows])
+            for j in range(1, m + 1):
+                wave = np.sin if j % 2 == 1 else np.cos
+                out[j] = _SQ2 * wave(2 * np.pi * ((j + 1) // 2) * arr)
+        return out
 
     def inner_product(self, j1: int, j2: int) -> float:
         """<f_j1, f_j2> over [0,1] (quadrature) or the grid (weighted sum)."""

@@ -67,7 +67,7 @@ class Model:
                        flags=dict(self.flags), evidence=dict(self.evidence))
 
 
-def _coordinate_tables(spec: BasisSpec, data: Dataset) -> list[np.ndarray]:
+def _coordinate_tables(spec: BasisSpec, values: np.ndarray) -> list[np.ndarray]:
     """Per-coordinate stacks f_j(x_i) with missing cells at a placeholder.
 
     Placeholder rows are masked out by the evidence masks before any
@@ -76,7 +76,7 @@ def _coordinate_tables(spec: BasisSpec, data: Dataset) -> list[np.ndarray]:
     """
     tables = []
     for i in range(spec.d):
-        col = np.where(np.isnan(data.values[:, i]), 0.0, data.values[:, i])
+        col = np.where(np.isnan(values[:, i]), 0.0, values[:, i])
         tables.append(spec.families[i].eval_all(col))
     return tables
 
@@ -92,14 +92,15 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     """
     if data.d != spec.d:
         raise ValueError(f"data has {data.d} coordinates, spec expects {spec.d}")
-    tables = _coordinate_tables(spec, data)
+    tables = _coordinate_tables(spec, data.values)
+    present = data.present
     zero = (0,) * spec.d
     coefficients: dict[MultiIndex, float] = {zero: 1.0}
     uncertainty: dict[MultiIndex, float] = {zero: 0.0}
     flags: dict[MultiIndex, str] = {}
     evidence: dict[tuple[int, ...], int] = {(): data.n}
     for coords, group in spec.supports().items():
-        mask = data.evidence_mask(coords)
+        mask = present[:, coords].all(axis=1)
         count = int(mask.sum())
         evidence[coords] = count
         for j in group:
@@ -133,25 +134,21 @@ def adapt(model: Model, x, rate: float) -> Model:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
         raise ValueError(f"expected a length-{model.d} record")
-    known = frozenset(np.flatnonzero(~np.isnan(x)))
-    coefficients = dict(model.coefficients)
+    spec = model.spec
+    known = ~np.isnan(x)
+    cover = ~spec.orders[:, ~known].any(axis=1)
+    tables = {i: spec.families[i].eval_all(x[i]) for i in np.flatnonzero(known)}
+    coef = model.coef.copy()
+    coef[cover] = (1.0 - rate) * coef[cover] + rate * spec.products(tables, cover)
     evidence = dict(model.evidence)
-    tables: dict[int, np.ndarray] = {}
-    for coords, group in model.spec.supports().items():
-        if not set(coords) <= known:
-            continue
-        evidence[coords] = evidence.get(coords, 0) + 1
-        for i in coords:
-            if i not in tables:
-                tables[i] = model.spec.families[i].eval_all(x[i])
-        for j in group:
-            fx = 1.0
-            for i in coords:
-                fx *= tables[i][j[i]]
-            coefficients[j] = (1.0 - rate) * coefficients[j] + rate * float(fx)
+    known_set = set(np.flatnonzero(known).tolist())
+    for coords in spec.supports():
+        if known_set.issuperset(coords):
+            evidence[coords] = evidence.get(coords, 0) + 1
     evidence[()] = evidence.get((), 0) + 1
-    return replace(model, coefficients=coefficients, evidence=evidence,
-                   uncertainty=dict(model.uncertainty), flags=dict(model.flags))
+    return replace(model, coefficients=dict(zip(spec.selected, coef.tolist())),
+                   evidence=evidence, uncertainty=dict(model.uncertainty),
+                   flags=dict(model.flags))
 
 
 def lambda_schedule(horizon: int, start: float = 0.05, end: float = 0.001) -> np.ndarray:

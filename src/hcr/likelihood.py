@@ -18,7 +18,7 @@ from .dataset import Dataset
 from .density import evaluate, evaluate_points
 from .errors import NonpositiveMassError, PositivityError
 from .estimator import Model, _coordinate_tables
-from .tensor_basis import MultiIndex, support
+from .tensor_basis import MultiIndex
 
 __all__ = [
     "RefineConfig",
@@ -69,48 +69,46 @@ class TraceStep:
 
 
 class _Workspace:
-    """Precomputed per-record function values and presence grouping.
+    """Per-record function values grouped by known set.
 
-    V[p] holds the value of selected function p at every record, with
-    missing slots at a placeholder that is masked away: a function is
-    only ever read at records whose known set covers its support.
+    Records are sorted (stably) by their known set, so each known set
+    is one contiguous column block [lo, hi) of V; order[k] is the
+    caller's index of sorted record k.  V[p] holds the value of selected
+    function p at every sorted record, with missing slots at a
+    placeholder that is masked away: a block only reads the functions
+    its known set covers.
     """
 
     def __init__(self, model: Model, data: Dataset):
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
-        self.model = model
-        self.data = data
-        spec = model.spec
-        tables = _coordinate_tables(spec, data)
-        self.selected = spec.selected
-        n = data.n
-        self.V = np.ones((len(self.selected), n))
-        for p, j in enumerate(self.selected):
-            for i in support(j):
-                self.V[p] *= tables[i][j[i]]
+        self.n = data.n
         present = data.present
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for k in range(n):
-            groups.setdefault(tuple(np.flatnonzero(present[k])), []).append(k)
-        self.groups = []
-        self.usable = np.zeros(n, dtype=bool)
-        for known, rows in groups.items():
-            if not known:
-                continue  # a fully-missing record supports nothing
-            cover = set(known)
-            positions = [p for p, j in enumerate(self.selected)
-                         if set(support(j)) <= cover]
-            self.groups.append((np.asarray(rows), np.asarray(positions)))
-            self.usable[rows] = True
-        self.complete_rows = np.flatnonzero(data.complete_mask())
+        self.order = np.lexsort(present.T[::-1])  # stable: a known set keeps its record order
+        values, present = data.values[self.order], present[self.order]
+        orders = model.spec.orders
+        self.V = np.ones((len(orders), self.n))
+        for i, table in enumerate(_coordinate_tables(model.spec, values)):
+            for o in range(1, len(table)):
+                self.V[orders[:, i] == o] *= table[o]
+        first = np.ones(self.n, dtype=bool)  # first record of its known set
+        first[1:] = (present[1:] != present[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        self.blocks = []  # (lo, hi, cover) per known set
+        self.counts = np.zeros(len(orders))  # evidence per function
+        for lo, hi in zip(starts, [*starts[1:], self.n]):
+            cover = ~orders[:, ~present[lo]].any(axis=1)
+            self.blocks.append((lo, hi, cover))
+            self.counts += (hi - lo) * cover
+        self.usable = present.any(axis=1)  # a fully-missing record supports nothing
+        self.complete_rows = np.flatnonzero(present.all(axis=1))
 
     def densities(self, coef: np.ndarray) -> np.ndarray:
-        """Per-record marginal density over the record's known set
-        (NaN for unusable records)."""
-        rho = np.full(self.data.n, np.nan)
-        for rows, positions in self.groups:
-            rho[rows] = coef[positions] @ self.V[np.ix_(positions, rows)]
+        """Per-record marginal density over the record's known set, in
+        sorted order (1 for a fully-missing record)."""
+        rho = np.empty(self.n)
+        for lo, hi, cover in self.blocks:
+            rho[lo:hi] = np.where(cover, coef, 0.0) @ self.V[:, lo:hi]
         return rho
 
     def loglik(self, rho: np.ndarray) -> float:
@@ -119,19 +117,13 @@ class _Workspace:
         return float(np.mean(np.log(rho[self.complete_rows])))
 
     def gradient_vector(self, rho: np.ndarray) -> np.ndarray:
-        grad = np.zeros(len(self.selected))
-        ratio = np.zeros(self.data.n)
-        ok = self.usable
-        ratio[ok] = 1.0 / rho[ok]
-        for p, j in enumerate(self.selected):
-            c = support(j)
-            if not c:
-                continue  # constant coefficient is fixed
-            mask = self.data.evidence_mask(c)
-            count = int(mask.sum())
-            if count == 0:
-                continue
-            grad[p] = float(np.sum(self.V[p][mask] * ratio[mask]) / count)
+        """Per function, the mean of f/rho over the records covering it;
+        0 for the constant and for functions without evidence."""
+        sums = np.zeros(len(self.counts))
+        for lo, hi, cover in self.blocks:
+            sums += np.where(cover, self.V[:, lo:hi] @ (1.0 / rho[lo:hi]), 0.0)
+        grad = np.divide(sums, self.counts, out=np.zeros_like(sums), where=self.counts > 0)
+        grad[0] = 0.0  # the constant coefficient is fixed
         return grad
 
 
@@ -167,13 +159,13 @@ def gradient(model: Model, data: Dataset) -> dict[MultiIndex, float]:
     rho = ws.densities(model.coef)
     _check_positive(rho, ws)
     vec = ws.gradient_vector(rho)
-    return {j: float(g) for j, g in zip(ws.selected, vec)}
+    return dict(zip(model.spec.selected, vec.tolist()))
 
 
 def _check_positive(rho: np.ndarray, ws: _Workspace, margin: float = 0.0):
     used = rho[ws.usable]
     if used.size and np.min(used) <= margin:
-        k = int(np.flatnonzero(ws.usable)[int(np.argmin(used))])
+        k = int(ws.order[np.flatnonzero(ws.usable)[int(np.argmin(used))]])
         raise NonpositiveMassError(
             f"record {k} has marginal density {np.min(used):.6g}", float(np.min(used)))
 
@@ -189,8 +181,8 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
     """
     ws = _Workspace(model, data)
     coef = model.coef
-    nonconst = np.array([bool(support(j)) for j in ws.selected])
-    all_complete = bool(ws.complete_rows.size == ws.data.n) and ws.data.n > 0
+    nonconst = model.spec.orders.any(axis=1)
+    all_complete = bool(ws.complete_rows.size == ws.n) and ws.n > 0
     rho = ws.densities(coef)
     _check_positive(rho, ws)
 
@@ -225,7 +217,7 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
         coef, rho = candidate, cand_rho
         current_obj = obj_new
         trace.append(TraceStep(step, f_new, obj_new, scale))
-    refined = model.with_coefficients({j: float(c) for j, c in zip(ws.selected, coef)})
+    refined = model.with_coefficients(dict(zip(model.spec.selected, coef.tolist())))
     return refined, trace
 
 

@@ -71,8 +71,10 @@ def load_model(source) -> Model:
     head = lines[0].split()
     if len(head) != 2 or head[0] != MAGIC:
         raise ValueError("not a model file (bad magic line)")
+    if not head[1].isdecimal():
+        raise ValueError(f"model file line 1: bad format version {head[1]!r}")
     if int(head[1]) != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {head[1]}")
+        raise ValueError(f"model file line 1: unsupported format version {head[1]}")
     dim = lines[1].split() if len(lines) > 1 else []
     if len(dim) != 2 or dim[0] != "dim":
         raise ValueError("model file line 2: expected 'dim <d>'")
@@ -83,7 +85,7 @@ def load_model(source) -> Model:
     names: list[str] = [""] * d
     families: list[Family1D | None] = [None] * d
     transforms: list = [None] * d
-    selected = []
+    selected = {}  # multi-index -> its line number
     coefficients = {}
     evidence = {}
     uncertainty = {}
@@ -105,7 +107,9 @@ def load_model(source) -> Model:
                 j = tuple(int(t) for t in parts[1].split(","))
                 if len(j) != d:
                     raise ValueError(f"multi-index {parts[1]} is not length {d}")
-                selected.append(j)
+                if j in selected:
+                    raise ValueError(f"duplicate coef {parts[1]} (first on line {selected[j]})")
+                selected[j] = lineno
                 coefficients[j] = float(parts[2])
                 evidence[support(j)] = int(parts[3])
                 uncertainty[j] = float(parts[4])

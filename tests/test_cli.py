@@ -379,3 +379,19 @@ def test_report_blank_dim_line_exits_2(tmp_path, capsys):
     model.write_text("hcrmodel 1\n\ncolumn 0 x1 legendre 1 - none\ncoef 0 1 4 0 -\n")
     assert main(["report", "--model", str(model)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_report_duplicate_coef_line_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text("hcrmodel 1\ndim 1\ncolumn 0 x1 legendre 1 - none\n"
+                     "coef 0 1 4 0 -\ncoef 1 0.5 4 0.1 -\ncoef 1 0.7 4 0.1 -\n")
+    assert main(["report", "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "line 6" in err and "line 5" in err and "duplicate" in err
+
+
+def test_report_bad_version_token_exits_2(tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text("hcrmodel x\ndim 1\ncolumn 0 x1 legendre 1 - none\ncoef 0 1 4 0 -\n")
+    assert main(["report", "--model", str(model)]) == 2
+    assert "model file line 1: bad format version 'x'" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Property tests of the vectorised query kernel against scalar references.
+"""Property tests of the vectorised kernels against scalar references.
 
 The references are written here from the definitions (shifted Legendre
 scaled by sqrt(2j+1); sqrt(2) sin/cos pairs; discrete vectors orthonormal
@@ -17,9 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hcr
-from hcr import (BasisSpec, ConditionalSlice, Model, NonpositiveMassError,
-                 build_full, conditional_slice, discrete, evaluate,
-                 find_negative_witness, legendre, support, trig)
+from hcr import (BasisSpec, ConditionalSlice, Dataset, Model, NonpositiveMassError,
+                 PositivityError, RefineConfig, adapt, build_full, conditional_slice,
+                 discrete, evaluate, find_negative_witness, gradient, legendre, refine,
+                 support, trig)
 from hcr.likelihood import _candidate_points, _halton
 from hcr.tensor_basis import MAX_FUNCTIONS
 
@@ -189,3 +190,153 @@ def test_build_full_refuses_oversized_basis_from_the_count():
     assert count > MAX_FUNCTIONS
     with pytest.raises(ValueError, match=f"{count} functions"):
         build_full(30, legendre(2), 2)
+
+
+# ---------------------------------------------------------------------------
+# write side: gradient, refine and adapt against dense references
+
+
+def random_records(rng, model, n, missing):
+    """n records, cells missing at rate `missing`, and with probability
+    1/2 one fully-missing record at a random row."""
+    families = model.spec.families
+    values = np.array([[random_value(rng, fam) for fam in families] for _ in range(n)])
+    values[rng.random(values.shape) < missing] = np.nan
+    if rng.random() < 0.5:
+        values[rng.integers(n)] = np.nan
+    return values
+
+
+def ref_terms(model, values):
+    """F[k, p] = f_p(record k) from the definitions, NaN where record k
+    does not know the support of f_p."""
+    spec = model.spec
+    out = np.full((len(values), len(spec.selected)), np.nan)
+    for k, x in enumerate(values):
+        for p, j in enumerate(spec.selected):
+            if not np.isnan(x[list(support(j))]).any():
+                out[k, p] = math.prod(ref_eval(spec.families[i], j[i], x[i]) for i in support(j))
+    return out
+
+
+def ref_density(F, coef):
+    """Each record's density marginalized to its known set."""
+    return np.where(np.isnan(F), 0.0, F) @ coef
+
+
+def ref_gradient(F, rho, usable):
+    grad = np.zeros(F.shape[1])
+    for p in range(1, F.shape[1]):
+        rows = usable & ~np.isnan(F[:, p])
+        if rows.any():
+            grad[p] = np.mean(F[rows, p] / rho[rows])
+    return grad
+
+
+def assert_names_worst_record(exc, rho, usable):
+    k = int(str(exc).split()[1])
+    assert usable[k] and rho[k] == pytest.approx(rho[usable].min(), abs=1e-12)
+    assert exc.denominator == pytest.approx(rho[usable].min(), abs=1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+       missing=st.sampled_from([0.0, 0.3, 0.6]), scale=st.sampled_from([0.02, 0.5]))
+def test_gradient_matches_reference(seed, d, missing, scale):
+    model, rng = random_model(seed, d, scale)
+    values = random_records(rng, model, int(rng.integers(1, 10)), missing)
+    F = ref_terms(model, values)
+    rho = ref_density(F, model.coef)
+    usable = ~np.isnan(values).all(axis=1)
+    if usable.any() and rho[usable].min() <= 0:
+        with pytest.raises(NonpositiveMassError) as err:
+            gradient(model, Dataset(values))
+        assert_names_worst_record(err.value, rho, usable)
+        return
+    got = gradient(model, Dataset(values))
+    want = ref_gradient(F, rho, usable)
+    assert np.allclose([got[j] for j in model.spec.selected], want, rtol=1e-10, atol=1e-10)
+
+
+def ref_first_step(model, values, config):
+    """One step of refine written densely: the reference gradient, the
+    ridge term, then backtracking until every usable record keeps the
+    margin (and, on complete data, the objective does not fall).
+    Returns (coefficients, step scale), or None when no scale works."""
+    F = ref_terms(model, values)
+    usable = ~np.isnan(values).all(axis=1)
+    complete = ~np.isnan(values).any(axis=1)
+    a = model.coef
+    nonconst = np.arange(len(a)) > 0
+
+    def objective(c):
+        loglik = np.mean(np.log(ref_density(F, c)[complete])) if complete.any() else np.nan
+        return loglik - config.ridge * np.sum(c[nonconst] ** 2)
+
+    g = ref_gradient(F, ref_density(F, a), usable)
+    g[nonconst] -= 2.0 * config.ridge * a[nonconst]
+    current = objective(a)
+    scale = config.step_size
+    for _ in range(61):
+        candidate = np.where(nonconst, a + scale * g, a)
+        if np.all(ref_density(F, candidate)[usable] >= config.positivity_margin):
+            new = objective(candidate)
+            if (not complete.all() or np.isnan(new)
+                    or new >= current - 1e-12 * (1 + abs(current))):
+                return candidate, scale
+        scale *= config.backtrack_factor
+    return None
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+       missing=st.sampled_from([0.0, 0.3]), ridge=st.sampled_from([0.0, 0.1]),
+       step=st.sampled_from([0.05, 1.0]))
+def test_refine_first_step_matches_dense_reference(seed, d, missing, ridge, step):
+    model, rng = random_model(seed, d, 0.02)
+    values = random_records(rng, model, int(rng.integers(2, 10)), missing)
+    usable = ~np.isnan(values).all(axis=1)
+    rho = ref_density(ref_terms(model, values), model.coef)
+    if usable.any() and rho[usable].min() <= 0:
+        return  # refine refuses to start; covered by the gradient property
+    config = RefineConfig(steps=1, step_size=step, ridge=ridge, positivity_margin=1e-3)
+    want = ref_first_step(model, values, config)
+    if want is None:
+        with pytest.raises(PositivityError):
+            refine(model, Dataset(values), config)
+        return
+    refined, trace = refine(model, Dataset(values), config)
+    assert np.allclose(refined.coef, want[0], rtol=1e-10, atol=1e-10)
+    assert trace[0].step_scale == want[1]
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+       missing=st.sampled_from([0.0, 0.3, 0.6]))
+def test_adapt_matches_per_term_replay(seed, d, missing):
+    model, rng = random_model(seed, d)
+    stream = random_records(rng, model, int(rng.integers(1, 8)), missing)
+    rate = 0.1
+    adapted = model
+    for x in stream:
+        adapted = adapt(adapted, x, rate)
+    F = ref_terms(model, stream)
+    want = model.coef.copy()
+    for p in range(1, len(want)):
+        for value in F[~np.isnan(F[:, p]), p]:
+            want[p] = (1 - rate) * want[p] + rate * value
+    assert np.allclose(adapted.coef, want, rtol=1e-12, atol=1e-12)
+    for coords in model.spec.supports():
+        knows = ~np.isnan(stream[:, list(coords)]).any(axis=1)
+        assert adapted.evidence.get(coords, 0) == int(knows.sum())
+    assert adapted.evidence[()] == len(stream)
+
+
+def test_nonpositive_mass_names_the_callers_row():
+    # a 2-d model negative where both coordinates are near 0; records
+    # with different known sets interleave, so sorting moves the rows
+    spec = build_full(2, legendre(1), 1)
+    model = Model(spec, {(1, 0): 0.2, (0, 1): 0.2, (1, 1): -0.6}, {}, {})
+    values = np.array([[0.5, np.nan], [0.9, 0.9], [np.nan, 0.5],
+                       [0.0, 0.0], [np.nan, np.nan], [0.5, 0.5]])
+    for k in range(len(values)):
+        rolled = np.roll(values, k, axis=0)
+        with pytest.raises(NonpositiveMassError, match=f"record {(3 + k) % 6} "):
+            gradient(model, Dataset(rolled))

@@ -126,7 +126,7 @@ def test_load_rejects_malformed_input():
         load_model(io.StringIO(""))
     with pytest.raises(ValueError):
         load_model(io.StringIO("notamodel 1\ndim 1\n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="model file line 1: unsupported format version 9"):
         load_model(io.StringIO("hcrmodel 9\ndim 1\n"))
     with pytest.raises(ValueError):
         load_model(io.StringIO("hcrmodel 1\nnope\n"))
@@ -162,3 +162,19 @@ def test_load_rejects_wrong_index_length():
     with pytest.raises(ValueError) as err:
         load_model(io.StringIO(text))
     assert "line 5" in str(err.value)
+
+
+def test_load_rejects_duplicate_coef_lines():
+    text = ("hcrmodel 1\ndim 1\n"
+            "column 0 x1 legendre 2 - none\n"
+            "coef 0 1 4 0 -\n"
+            "coef 1 0.5 4 0.1 -\n"
+            "coef 1 0.7 4 0.1 -\n")
+    with pytest.raises(ValueError, match="line 6: duplicate coef 1 .*line 5"):
+        load_model(io.StringIO(text))
+
+
+@pytest.mark.parametrize("token", ["x", "-1", "1.0"])
+def test_load_names_line_1_on_a_bad_version_token(token):
+    with pytest.raises(ValueError, match=f"model file line 1: bad format version '{token}'"):
+        load_model(io.StringIO(f"hcrmodel {token}\ndim 1\n"))
