@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import groupby
 
 import numpy as np
 
@@ -204,6 +205,10 @@ def cmd_impute(args) -> int:
 
 
 def cmd_density(args) -> int:
+    if args.grid < 2:
+        raise _UsageError(f"--grid must be >= 2, got {args.grid}")
+    if args.epsilon is not None and not args.epsilon > 0:
+        raise _UsageError(f"--epsilon must be > 0, got {args.epsilon}")
     model = load_model(args.model)
     parts = [p.strip() for p in args.point.split(",")]
     if len(parts) != model.d:
@@ -243,14 +248,19 @@ def cmd_density(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    try:
+        config = RefineConfig(steps=args.steps, step_size=args.rate, ridge=args.ridge,
+                              positivity_margin=1e-6 if args.epsilon is None else args.epsilon)
+    except ValueError as exc:  # the message starts with the RefineConfig field
+        field = str(exc).split()[0]
+        flag = {"step_size": "rate", "positivity_margin": "epsilon"}.get(field, field)
+        raise _UsageError(f"--{flag}: {exc}") from None
     model = load_model(args.model)
     data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
     if data.d != model.d:
         raise TableError(f"table has {data.d} coordinates, model expects {model.d}")
     transforms = model.transforms or [Identity() for _ in range(model.d)]
     unit = data.transformed(transforms)
-    config = RefineConfig(steps=args.steps, step_size=args.rate, ridge=args.ridge,
-                          positivity_margin=args.epsilon if args.epsilon is not None else 1e-6)
     try:
         refined, trace = refine(model, unit, config)
     except (PositivityError, NonpositiveMassError) as exc:
@@ -321,15 +331,12 @@ def cmd_report(args) -> int:
         extra = f" v={fam.v}" if fam.is_discrete else ""
         print(f"  column {names[i]}: {fam.kind} order<={fam.max_order}{extra} "
               f"transform={transforms[i].kind}")
-    by_level: dict[int, list] = {}
-    for j in model.spec.selected:
-        by_level.setdefault(len(support(j)), []).append(j)
-    for lvl in sorted(by_level):
-        print(f"level {lvl} ({len(by_level[lvl])} functions):")
-        for j in by_level[lvl]:
-            a = model.coefficients[j]
-            u = model.uncertainty.get(j, float("nan"))
-            flag = model.flags.get(j, "")
+    rows = zip(model.spec.selected, model.coef, model.unc, model.term_flags)
+    # selected is in canonical order, so each level is one run of rows
+    for lvl, run in groupby(rows, key=lambda row: len(support(row[0]))):
+        run = list(run)
+        print(f"level {lvl} ({len(run)} functions):")
+        for j, a, u, flag in run:
             ratio = abs(a) / u if (np.isfinite(u) and u > 0) else float("nan")
             line = (f"  {_function_name(j, names)} a={a:.6g} u={u:.6g} "
                     f"ratio={ratio:.3g} {_interpret(j, names, a)}")
@@ -352,8 +359,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--sep", default=",", help="cell separator (default ,)")
     common.add_argument("--missing-tokens", default=None,
                         help="comma list of missing-value tokens (empty cell always counts)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="reserved for sampled diagnostics; commands are deterministic")
 
     p = sub.add_parser("fit", parents=[common], help="fit a model to a table")
     p.add_argument("--input", required=True)
@@ -379,9 +384,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--point", required=True,
                    help="comma list in original units; '?' marks the free coordinate")
     p.add_argument("--out", help="slice table output (default stdout)")
-    p.add_argument("--grid", type=int, default=101, help="slice table resolution")
+    p.add_argument("--grid", type=int, default=101, help="slice table resolution, >= 2")
     p.add_argument("--epsilon", type=float, default=None,
-                   help="clamp floor applied to reported densities")
+                   help="clamp floor applied to reported densities, > 0")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("refine", parents=[common],
@@ -389,11 +394,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--rate", type=float, default=0.1, help="ascent step size")
-    p.add_argument("--ridge", type=float, default=0.0)
+    p.add_argument("--steps", type=int, default=10, help="ascent steps, >= 0 (default 10)")
+    p.add_argument("--rate", type=float, default=0.1, help="ascent step size, > 0")
+    p.add_argument("--ridge", type=float, default=0.0, help="ridge penalty, >= 0 (default 0)")
     p.add_argument("--epsilon", type=float, default=None,
-                   help="positivity margin (default 1e-6)")
+                   help="positivity margin, >= 0 (default 1e-6)")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("report", parents=[common], help="human-readable model report")

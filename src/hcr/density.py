@@ -13,8 +13,8 @@ import numpy as np
 
 from .basis1d import Family1D, gauss_nodes
 from .errors import MissingCoordinateError, NonpositiveMassError
-from .estimator import Model
-from .tensor_basis import BasisSpec, support
+from .estimator import Model, _coordinate_tables
+from .tensor_basis import support
 
 __all__ = [
     "evaluate",
@@ -43,8 +43,7 @@ def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
     """Densities at an (n, d) block of points; slots outside every used
     support may be NaN (they are never read)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    filled = np.where(np.isnan(points), 0.0, points)
-    tables = [model.spec.families[i].eval_all(filled[:, i]) for i in range(model.d)]
+    tables = list(_coordinate_tables(model.spec, points))
     # one function at a time: a functions-by-points product would hold
     # |selected| x n values at once
     out = np.full(points.shape[0], model.coef[0])
@@ -88,19 +87,8 @@ def marginalize(model: Model, keep) -> Model:
         raise ValueError("keep must name at least one coordinate")
     if not keep <= set(range(model.d)):
         raise ValueError(f"keep out of range for d={model.d}")
-    selected = tuple(j for j in model.spec.selected if set(support(j)) <= keep)
-    spec = BasisSpec(model.spec.d, model.spec.families, selected,
-                     model.spec.level_orders)
-    kept_supports = {support(j) for j in selected}
-    return Model(
-        spec,
-        {j: model.coefficients[j] for j in selected},
-        {c: n for c, n in model.evidence.items() if c in kept_supports},
-        {j: model.uncertainty.get(j, float("nan")) for j in selected},
-        {j: model.flags.get(j, "") for j in selected},
-        transforms=model.transforms,
-        names=model.names,
-    )
+    dropped = [i for i in range(model.d) if i not in keep]
+    return model.restricted(~model.spec.orders[:, dropped].any(axis=1))
 
 
 # ---------------------------------------------------------------------------

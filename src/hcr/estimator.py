@@ -7,7 +7,9 @@ term they can support.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -20,65 +22,97 @@ NO_EVIDENCE = "no-evidence"
 UNCERTAINTY_UNDEFINED = "uncertainty-undefined"
 
 
-@dataclass
+def _aligned(spec: BasisSpec, values, constant, default=None):
+    """One entry per spec.selected from an aligned sequence or a
+    multi-index mapping, where an absent constant reads constant and any
+    other absent index default (with default None, an error)."""
+    if not isinstance(values, Mapping):
+        if len(values) != len(spec):
+            raise ValueError(f"expected {len(spec)} aligned values, got {len(values)}")
+        return values
+    missing = [j for j in spec.selected[1:] if j not in values]
+    if missing and default is None:
+        raise ValueError(f"coefficient missing for selected index {missing[0]}")
+    return [values.get(j, default if p else constant) for p, j in enumerate(spec.selected)]
+
+
 class Model:
     """Fitted basis expansion: spec plus per-function statistics.
 
-    coefficients maps each selected multi-index to a_f; the all-zero
-    index is pinned to 1 so the density integrates to 1.  evidence maps
-    each tracked support subset to |K_C|; uncertainty holds the standard
-    error of each average (NaN when fewer than 2 supporting records).
-    coef holds the same coefficients as a read-only vector aligned with
-    spec.selected; a model is never mutated after construction.
+    The state is coef (a_f, the constant's pinned to 1 so the density
+    integrates to 1), unc (standard errors, NaN with fewer than 2
+    supporting records) and term_flags, read-only and aligned with
+    spec.selected.  coefficients, uncertainty and flags are read-only
+    multi-index views of them, and the constructor takes either form; a
+    mapping may omit the constant, and any index but a coefficient's.
+    evidence maps each tracked support subset to |K_C|.  A model copies
+    the statistics it is given and is never mutated.
     """
 
-    spec: BasisSpec
-    coefficients: dict[MultiIndex, float]
-    evidence: dict[tuple[int, ...], int]
-    uncertainty: dict[MultiIndex, float]
-    flags: dict[MultiIndex, str] = field(default_factory=dict)
-    transforms: list | None = None
-    names: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        zero = (0,) * self.spec.d
-        self.coefficients[zero] = 1.0
-        for j in self.spec.selected:
-            if j not in self.coefficients:
-                raise ValueError(f"coefficient missing for selected index {j}")
-        self.coef = np.array([self.coefficients[j] for j in self.spec.selected])
-        self.coef.setflags(write=False)
-        self.uncertainty.setdefault(zero, 0.0)
-        self.flags = {j: self.flags.get(j, "") for j in self.spec.selected}
+    def __init__(self, spec: BasisSpec, coefficients, evidence: Mapping[tuple[int, ...], int],
+                 uncertainty, flags=None, transforms: list | None = None,
+                 names: tuple[str, ...] | None = None):
+        self.spec = spec
+        self.coef = np.array(_aligned(spec, coefficients, 1.0), dtype=float)
+        self.coef[0] = 1.0
+        self.unc = np.array(_aligned(spec, uncertainty, 0.0, float("nan")), dtype=float)
+        for vec in (self.coef, self.unc):
+            vec.setflags(write=False)
+        self.term_flags = tuple(_aligned(spec, {} if flags is None else flags, "", ""))
+        self.evidence = dict(evidence)
+        self.transforms = transforms
+        self.names = names
 
     @property
     def d(self) -> int:
         return self.spec.d
+
+    @cached_property
+    def coefficients(self) -> Mapping[MultiIndex, float]:
+        return MappingProxyType(dict(zip(self.spec.selected, self.coef.tolist())))
+
+    @cached_property
+    def uncertainty(self) -> Mapping[MultiIndex, float]:
+        return MappingProxyType(dict(zip(self.spec.selected, self.unc.tolist())))
+
+    @cached_property
+    def flags(self) -> Mapping[MultiIndex, str]:
+        return MappingProxyType(dict(zip(self.spec.selected, self.term_flags)))
 
     def coordinate_names(self) -> tuple[str, ...]:
         if self.names is not None:
             return self.names
         return tuple(f"x{i + 1}" for i in range(self.d))
 
-    def with_coefficients(self, coefficients: dict[MultiIndex, float]) -> "Model":
-        new = dict(coefficients)
-        new[(0,) * self.d] = 1.0
-        return replace(self, coefficients=new, uncertainty=dict(self.uncertainty),
-                       flags=dict(self.flags), evidence=dict(self.evidence))
+    def with_coefficients(self, coefficients, evidence=None) -> "Model":
+        """The same model with new coefficients and, if given, evidence."""
+        return Model(self.spec, coefficients,
+                     self.evidence if evidence is None else evidence,
+                     self.unc, self.term_flags, self.transforms, self.names)
+
+    def restricted(self, rows: np.ndarray) -> "Model":
+        """Sub-model of the functions a boolean mask over spec.selected
+        keeps (the constant among them), with their supports' evidence."""
+        selected = tuple(j for j, k in zip(self.spec.selected, rows) if k)
+        spec = BasisSpec(self.d, self.spec.families, selected, self.spec.level_orders)
+        supports = {support(j) for j in selected}
+        evidence = {c: n for c, n in self.evidence.items() if c in supports}
+        flags = [f for f, k in zip(self.term_flags, rows) if k]
+        return Model(spec, self.coef[rows], evidence, self.unc[rows], flags,
+                     self.transforms, self.names)
 
 
-def _coordinate_tables(spec: BasisSpec, values: np.ndarray) -> list[np.ndarray]:
-    """Per-coordinate stacks f_j(x_i) with missing cells at a placeholder.
+def _coordinate_tables(spec: BasisSpec, values: np.ndarray):
+    """Per-coordinate stacks f_j(x_i) with missing cells at a placeholder,
+    yielded one at a time so a caller need not hold them all.
 
     Placeholder rows are masked out by the evidence masks before any
     statistic is taken, so the value it evaluates to never matters; 0 is
     used because it is valid for every family including discrete grids.
     """
-    tables = []
     for i in range(spec.d):
-        col = np.where(np.isnan(values[:, i]), 0.0, values[:, i])
-        tables.append(spec.families[i].eval_all(col))
-    return tables
+        col = values[:, i]
+        yield spec.families[i].eval_all(np.where(np.isnan(col), 0.0, col))
 
 
 def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
@@ -92,34 +126,31 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     """
     if data.d != spec.d:
         raise ValueError(f"data has {data.d} coordinates, spec expects {spec.d}")
-    tables = _coordinate_tables(spec, data.values)
+    tables = list(_coordinate_tables(spec, data.values))
     present = data.present
-    zero = (0,) * spec.d
-    coefficients: dict[MultiIndex, float] = {zero: 1.0}
-    uncertainty: dict[MultiIndex, float] = {zero: 0.0}
-    flags: dict[MultiIndex, str] = {}
+    coef = np.zeros(len(spec))
+    unc = np.full(len(spec), np.nan)
+    unc[0] = 0.0
+    flags = [""] * len(spec)
     evidence: dict[tuple[int, ...], int] = {(): data.n}
     for coords, group in spec.supports().items():
         mask = present[:, coords].all(axis=1)
         count = int(mask.sum())
         evidence[coords] = count
         for j in group:
+            p = spec.position(j)
             if count == 0:
-                coefficients[j] = 0.0
-                uncertainty[j] = float("nan")
-                flags[j] = NO_EVIDENCE
+                flags[p] = NO_EVIDENCE
                 continue
             vals = np.ones(count)
             for i in coords:
                 vals = vals * tables[i][j[i]][mask]
-            coefficients[j] = float(vals.mean())
+            coef[p] = vals.mean()
             if count == 1:
-                uncertainty[j] = float("nan")
-                flags[j] = UNCERTAINTY_UNDEFINED
+                flags[p] = UNCERTAINTY_UNDEFINED
             else:
-                uncertainty[j] = float(vals.std(ddof=1) / np.sqrt(count))
-    return Model(spec, coefficients, evidence, uncertainty, flags,
-                 transforms=transforms, names=names)
+                unc[p] = vals.std(ddof=1) / np.sqrt(count)
+    return Model(spec, coef, evidence, unc, flags, transforms=transforms, names=names)
 
 
 def adapt(model: Model, x, rate: float) -> Model:
@@ -142,13 +173,10 @@ def adapt(model: Model, x, rate: float) -> Model:
     coef[cover] = (1.0 - rate) * coef[cover] + rate * spec.products(tables, cover)
     evidence = dict(model.evidence)
     known_set = set(np.flatnonzero(known).tolist())
-    for coords in spec.supports():
+    for coords in [(), *spec.supports()]:
         if known_set.issuperset(coords):
             evidence[coords] = evidence.get(coords, 0) + 1
-    evidence[()] = evidence.get((), 0) + 1
-    return replace(model, coefficients=dict(zip(spec.selected, coef.tolist())),
-                   evidence=evidence, uncertainty=dict(model.uncertainty),
-                   flags=dict(model.flags))
+    return model.with_coefficients(coef, evidence)
 
 
 def lambda_schedule(horizon: int, start: float = 0.05, end: float = 0.001) -> np.ndarray:
@@ -167,30 +195,10 @@ def prune(model: Model, threshold_sigmas: float) -> tuple[Model, list[tuple]]:
     uncertainty) for everything removed.  The constant survives always;
     flagged entries with undefined uncertainty are kept for inspection.
     """
-    zero = (0,) * model.d
-    removed = []
-    keep = [zero]
-    for j in model.spec.selected:
-        if j == zero:
-            continue
-        u = model.uncertainty.get(j, float("nan"))
-        if np.isfinite(u) and abs(model.coefficients[j]) < threshold_sigmas * u:
-            removed.append((j, model.coefficients[j], u))
-        else:
-            keep.append(j)
-    if not removed:
+    drop = np.isfinite(model.unc) & (np.abs(model.coef) < threshold_sigmas * model.unc)
+    drop[0] = False
+    if not drop.any():
         return model, []
-    new_spec = BasisSpec(model.spec.d, model.spec.families, tuple(keep),
-                         model.spec.level_orders)
-    kept_supports = {support(j) for j in keep if j != zero}
-    evidence = {c: n for c, n in model.evidence.items() if c == () or c in kept_supports}
-    new_model = Model(
-        new_spec,
-        {j: model.coefficients[j] for j in keep},
-        evidence,
-        {j: model.uncertainty[j] for j in keep},
-        {j: model.flags.get(j, "") for j in keep},
-        transforms=model.transforms,
-        names=model.names,
-    )
-    return new_model, removed
+    removed = [(model.spec.selected[p], float(model.coef[p]), float(model.unc[p]))
+               for p in np.flatnonzero(drop)]
+    return model.restricted(~drop), removed

@@ -48,13 +48,14 @@ class RefineConfig:
     backtrack_factor: float = 0.5
 
     def __post_init__(self):
-        if self.steps < 0:
+        # written so that NaN fails every check
+        if not self.steps >= 0:
             raise ValueError("steps must be >= 0")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step_size must be positive")
-        if self.ridge < 0:
+        if not self.ridge >= 0:
             raise ValueError("ridge must be >= 0")
-        if self.positivity_margin < 0:
+        if not self.positivity_margin >= 0:
             raise ValueError("positivity_margin must be >= 0")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0,1)")
@@ -217,8 +218,7 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
         coef, rho = candidate, cand_rho
         current_obj = obj_new
         trace.append(TraceStep(step, f_new, obj_new, scale))
-    refined = model.with_coefficients(dict(zip(model.spec.selected, coef.tolist())))
-    return refined, trace
+    return model.with_coefficients(coef), trace
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def repair_negative(model: Model, witness, strategy: str = RESCALE_ALL,
         if contributions[target] >= 0:
             raise ValueError("no coefficient lowers the density at the witness")
         coef[target] += (margin - rho) / terms[target]
-    return model.with_coefficients({j: float(a) for j, a in zip(spec.selected, coef)})
+    return model.with_coefficients(coef)
 
 
 def _snap_to_grids(model: Model, points: np.ndarray) -> np.ndarray:

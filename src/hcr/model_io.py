@@ -34,12 +34,10 @@ def save_model(model: Model, dest) -> None:
         v = str(fam.v) if fam.is_discrete else "-"
         lines.append(" ".join(["column", str(i), name, fam.kind,
                                str(fam.max_order), v, *transforms[i].tokens()]))
-    for j in model.spec.selected:
+    for j, a, u, flag in zip(model.spec.selected, model.coef, model.unc, model.term_flags):
         ev = model.evidence.get(support(j), 0)
-        unc = model.uncertainty.get(j, float("nan"))
-        flag = model.flags.get(j, "") or "-"
-        lines.append(" ".join(["coef", ",".join(map(str, j)),
-                               _fmt(model.coefficients[j]), str(ev), _fmt(unc), flag]))
+        lines.append(" ".join(["coef", ",".join(map(str, j)), _fmt(a), str(ev), _fmt(u),
+                               flag or "-"]))
     text = "\n".join(lines) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)

@@ -395,3 +395,39 @@ def test_report_bad_version_token_exits_2(tmp_path, capsys):
     model.write_text("hcrmodel x\ndim 1\ncolumn 0 x1 legendre 1 - none\ncoef 0 1 4 0 -\n")
     assert main(["report", "--model", str(model)]) == 2
     assert "model file line 1: bad format version 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, point, extra, flag", [
+    ("density", "0.4,?", ["--grid", "-1"], "--grid"),
+    ("density", "0.4,?", ["--grid", "0"], "--grid"),
+    ("density", "0.4,?", ["--grid", "1"], "--grid"),
+    ("density", "0.3,0.4", ["--epsilon", "0"], "--epsilon"),
+    ("density", "0.4,?", ["--epsilon", "-1"], "--epsilon"),
+    ("density", "0.3,0.4", ["--epsilon", "nan"], "--epsilon"),
+    ("refine", None, ["--steps", "-1"], "--steps"),
+    ("refine", None, ["--rate", "0"], "--rate"),
+    ("refine", None, ["--rate", "-0.1"], "--rate"),
+    ("refine", None, ["--rate", "nan"], "--rate"),
+    ("refine", None, ["--ridge", "-1"], "--ridge"),
+    ("refine", None, ["--ridge", "nan"], "--ridge"),
+    ("refine", None, ["--epsilon", "-1"], "--epsilon"),
+])
+def test_out_of_range_numeric_flags_exit_1(tmp_path, capsys, command, point, extra, flag):
+    data = write_sample(tmp_path)
+    model = tmp_path / "m.model"
+    main(["fit", "--input", str(data), "--out", str(model), "--orders", "2"])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    argv = [command, "--model", str(model), "--out", str(out), *extra]
+    argv += ["--point", point] if command == "density" else ["--input", str(data)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"usage error: {flag}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_seed_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--model", str(tmp_path / "m.model"), "--seed", "1"])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err

@@ -248,3 +248,37 @@ def test_fit_keeps_names_and_transforms():
             transforms=[Identity()])
     assert m.coordinate_names() == ("height",)
     assert m.transforms[0].kind == "none"
+
+
+def test_model_views_are_read_only():
+    m = fit(build_full(1, legendre(2), 2), Dataset(np.array([[0.2], [0.9], [0.4]])))
+    for view, value in ((m.coefficients, 0.9), (m.uncertainty, 0.1), (m.flags, "x")):
+        with pytest.raises(TypeError):
+            view[(1,)] = value
+    for vec in (m.coef, m.unc):
+        with pytest.raises(ValueError):
+            vec[1] = 0.9
+    assert m.coefficients[(1,)] == m.coef[1]
+
+
+def test_model_neither_changes_nor_keeps_the_callers_mappings():
+    from hcr import Model
+    spec = build_full(1, legendre(2), 2)
+    coefficients = {(1,): 0.25, (2,): -0.125}
+    uncertainty = {(1,): 0.01}
+    flags = {(2,): NO_EVIDENCE}
+    evidence = {(0,): 7}
+    m = Model(spec, coefficients, evidence, uncertainty, flags)
+    assert coefficients == {(1,): 0.25, (2,): -0.125}
+    assert uncertainty == {(1,): 0.01}
+    assert flags == {(2,): NO_EVIDENCE} and evidence == {(0,): 7}
+    coefficients[(1,)] = 0.9
+    evidence[(0,)] = 99
+    assert m.coefficients[(1,)] == 0.25 and m.evidence == {(0,): 7}
+    assert list(m.coef) == [1.0, 0.25, -0.125]
+    assert m.unc[0] == 0.0 and m.unc[1] == 0.01 and np.isnan(m.unc[2])
+    assert m.term_flags == ("", "", NO_EVIDENCE)
+    with pytest.raises(ValueError, match="coefficient missing"):
+        Model(spec, {(1,): 0.25}, evidence, uncertainty)
+    with pytest.raises(ValueError, match="expected 3 aligned values"):
+        Model(spec, [1.0, 0.25], evidence, uncertainty)

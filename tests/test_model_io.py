@@ -178,3 +178,26 @@ def test_load_rejects_duplicate_coef_lines():
 def test_load_names_line_1_on_a_bad_version_token(token):
     with pytest.raises(ValueError, match=f"model file line 1: bad format version '{token}'"):
         load_model(io.StringIO(f"hcrmodel {token}\ndim 1\n"))
+
+
+def test_mapping_and_vector_forms_build_the_same_model():
+    from hcr import Model
+    rng = np.random.default_rng(43)
+    vals = rng.random((20, 2))
+    vals[1:, 1] = nan  # one record knows x2: its terms are flagged
+    m = fit(build_full(2, legendre(2), 2), Dataset(vals), names=("a", "b"))
+    s = m.spec
+    by_index = Model(s, dict(m.coefficients), m.evidence, dict(m.uncertainty),
+                     dict(m.flags), m.transforms, m.names)
+    by_position = Model(s, list(m.coef), m.evidence, list(m.unc), list(m.term_flags),
+                        m.transforms, m.names)
+    texts = []
+    for built in (by_index, by_position):
+        assert np.array_equal(built.coef, m.coef)
+        assert np.array_equal(built.unc, m.unc, equal_nan=True)
+        assert built.term_flags == m.term_flags
+        buf = io.StringIO()
+        save_model(built, buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+    assert any(m.term_flags)
