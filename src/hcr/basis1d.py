@@ -37,11 +37,6 @@ def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (t + 1.0) / 2.0, w / 2.0
 
 
-def _quad_count(degree: int) -> int:
-    # exact for polynomials up to `degree`, with margin
-    return (degree + 2 + 1) // 2 + 2
-
-
 @lru_cache(maxsize=None)
 def _discrete_table(v: int) -> np.ndarray:
     """Orthonormal vectors on the grid {k/(v-1)}, weight 1/v per point.
@@ -151,18 +146,21 @@ class Family1D:
                 out[j] = _SQ2 * wave(2 * np.pi * ((j + 1) // 2) * arr)
         return out
 
+    def _measure(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the family's measure: weight 1/v per grid
+        point, else Gauss-Legendre on [0,1], exact for any product of two
+        Legendre rows."""
+        if self.is_discrete:
+            return self.grid, np.full(self.v, 1.0 / self.v)
+        return gauss_nodes(max(96, self.max_order + 1))
+
     def inner_product(self, j1: int, j2: int) -> float:
-        """<f_j1, f_j2> over [0,1] (quadrature) or the grid (weighted sum)."""
+        """<f_j1, f_j2> under the family's measure."""
         self._check_order(j1)
         self._check_order(j2)
-        if self.is_discrete:
-            table = _discrete_table(self.v)
-            return float(np.sum(table[j1] * table[j2]) / self.v)
-        if self.kind == LEGENDRE:
-            nodes, weights = gauss_nodes(_quad_count(j1 + j2))
-        else:
-            nodes, weights = gauss_nodes(96)
-        return float(np.sum(weights * self.eval(j1, nodes) * self.eval(j2, nodes)))
+        nodes, weights = self._measure()
+        values = self.eval_all(nodes)
+        return float(np.sum(weights * values[j1] * values[j2]))
 
     def integrate_moment(self, j: int, p: int) -> float:
         """Moment integral of x^p against the order-j function over [0,1].
@@ -182,9 +180,19 @@ class Family1D:
             raise ValueError("discrete family has no continuous moments")
         return _moment_table(self)
 
+    def snap(self, x):
+        """x clipped into [0,1] (NaN to 0), then for a discrete family rounded
+        to the nearest grid value (np.rint: exact halves go to the even index)."""
+        x = np.fmin(np.fmax(x, 0.0), 1.0)
+        if self.is_discrete:
+            x = np.rint(x * (self.v - 1)) / (self.v - 1)
+        return x
+
 
 @lru_cache(maxsize=None)
 def _moment_table(family: Family1D) -> np.ndarray:
+    """Read-only moments of x^p against f_j at [p, j] under the family's
+    measure: Lebesgue on [0,1], or weight 1/v per grid point."""
     m = family.max_order
     if family.kind == LEGENDRE:
         # orthogonality kills every j > p; low-order cases are exact
@@ -198,7 +206,7 @@ def _moment_table(family: Family1D) -> np.ndarray:
         }
         table = np.array([[exact.get((p, j), 0.0) for j in range(m + 1)] for p in range(3)])
     else:
-        nodes, weights = gauss_nodes(96)
+        nodes, weights = family._measure()
         values = family.eval_all(nodes)
         table = np.array([[np.sum(weights * nodes**p * values[j]) for j in range(m + 1)]
                           for p in range(3)])

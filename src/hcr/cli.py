@@ -11,7 +11,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .basis1d import discrete, legendre, trig
+from .basis1d import Family1D, discrete
 from .dataset import (DEFAULT_MISSING_TOKENS, Identity, column_specs,
                       fit_transform, load_table, parse_schema,
                       transform_from_tokens, write_table)
@@ -106,14 +106,8 @@ def cmd_fit(args) -> int:
     unit = data.transformed(transforms)
     orders = _parse_orders(args.orders, data.d)
     max_m = max(orders.values())
-    families = []
-    for s in specs:
-        if s.family == "discrete":
-            families.append(discrete(len(s.categories)))
-        elif s.family == "trig":
-            families.append(trig(max_m))
-        else:
-            families.append(legendre(max_m))
+    families = [discrete(len(s.categories)) if s.categories else Family1D(s.family, max_m)
+                for s in specs]
     spec = build_full(data.d, families, orders)
     model = fit(spec, unit, names=data.names, transforms=transforms)
     save_model(model, args.out)
@@ -303,6 +297,7 @@ def cmd_transform(args) -> int:
     if not text or text[0].strip() != TRANSFORMS_MAGIC:
         raise TableError("not a transforms file (bad magic line)")
     transforms = [Identity() for _ in range(data.d)]
+    first = {}  # column -> its line number
     for lineno, raw in enumerate(text[1:], start=2):
         if not raw.strip():
             continue
@@ -313,6 +308,9 @@ def cmd_transform(args) -> int:
             i = int(parts[1])
             if not 0 <= i < data.d:
                 raise ValueError(f"transform column {i} out of range")
+            if i in first:
+                raise ValueError(f"duplicate column {i} (first on line {first[i]})")
+            first[i] = lineno
             transforms[i] = transform_from_tokens(parts[3:])
         except (IndexError, ValueError) as exc:
             raise TableError(f"transforms file line {lineno}: {exc}") from None

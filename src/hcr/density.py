@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis1d import Family1D, gauss_nodes
+from .basis1d import Family1D, _moment_table, gauss_nodes
 from .errors import MissingCoordinateError, NonpositiveMassError
 from .estimator import Model, _coordinate_tables
 from .tensor_basis import support
@@ -40,9 +40,16 @@ MASS_FLOOR = 0.01  # cluster-split slivers below this merge into a neighbor
 
 
 def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
-    """Densities at an (n, d) block of points; slots outside every used
-    support may be NaN (they are never read)."""
+    """Densities at an (n, d) block of points.  A NaN cell raises
+    MissingCoordinateError unless no selected function reads its
+    coordinate (as for the coordinates a marginal model dropped)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    missing = np.isnan(points) & model.spec.orders.any(axis=0)
+    if missing.any():
+        row = int(np.flatnonzero(missing.any(axis=1))[0])
+        raise MissingCoordinateError(
+            f"point {row} is missing coordinates {np.flatnonzero(missing[row]).tolist()}; "
+            "use conditional_slice")
     tables = list(_coordinate_tables(model.spec, points))
     # one function at a time: a functions-by-points product would hold
     # |selected| x n values at once
@@ -56,15 +63,10 @@ def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
 
 
 def evaluate(model: Model, x) -> float:
-    """Density at one full point of [0,1]^d; may be negative (see clamp)."""
+    """Density at one point of [0,1]^d; may be negative (see clamp)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
         raise ValueError(f"expected a full length-{model.d} point")
-    if np.any(np.isnan(x)):
-        missing = np.flatnonzero(np.isnan(x))
-        raise MissingCoordinateError(
-            f"point is missing coordinates {missing.tolist()}; use conditional_slice"
-        )
     return float(evaluate_points(model, x[None, :])[0])
 
 
@@ -138,10 +140,6 @@ class ConditionalSlice:
 
     # -- continuous-slice internals
 
-    def _poly(self):
-        scale = np.sqrt(2 * np.arange(self.numerator.size) + 1)
-        return np.polynomial.legendre.Legendre(self.coef * scale, domain=[0, 1])
-
     def _trig_derivative_roots(self) -> np.ndarray:
         """Stationary points of the trig slice, as angles of unit roots.
 
@@ -168,7 +166,9 @@ class ConditionalSlice:
         if self.family.kind == "legendre":
             if self.numerator.size < 3:
                 return np.empty(0)
-            roots = np.atleast_1d(self._poly().deriv().roots())
+            scale = np.sqrt(2 * np.arange(self.numerator.size) + 1)
+            poly = np.polynomial.legendre.Legendre(self.coef * scale, domain=[0, 1])
+            roots = np.atleast_1d(poly.deriv().roots())
             real = roots[np.abs(roots.imag) < 1e-9].real
         else:
             real = self._trig_derivative_roots()
@@ -195,13 +195,9 @@ class ConditionalSlice:
     # -- queries
 
     def _signed_moments(self) -> tuple[float, float]:
-        """Mean and variance of the slice integrated as-is (signed)."""
-        if self.family.is_discrete:
-            grid = self.family.grid
-            p = self.evaluate(grid) / self.family.v
-            mean = float(np.sum(grid * p))
-            return mean, float(np.sum(grid**2 * p) - mean**2)
-        moments = self.family.moment_table()
+        """Mean and variance of the slice integrated as-is (signed), under
+        the family's measure (the grid's for a discrete coordinate)."""
+        moments = _moment_table(self.family)
         mean = float(self.coef @ moments[1])
         return mean, float(self.coef @ moments[2]) - mean * mean
 
@@ -217,16 +213,17 @@ class ConditionalSlice:
         mean clipped into [0,1]; variance is floored at 0.
         """
         mean, var = self._signed_moments()
-        if self.family.is_discrete:
-            negative = bool(np.any(self.evaluate(self.family.grid) < 0))
-        else:
-            negative = self._minimum_value() < 0
+        negative = self._minimum_value() < 0
         if negative:
             mean = min(1.0, max(0.0, mean))
         return SliceMoments(float(mean), float(max(var, 0.0)), bool(negative))
 
     def _extrema_candidates(self) -> np.ndarray:
-        return np.concatenate(([0.0, 1.0], self._derivative_roots()))
+        """Ascending points holding every extreme of the slice: the grid of
+        a discrete coordinate, else the ends and the stationary points."""
+        if self.family.is_discrete:
+            return self.family.grid
+        return np.concatenate(([0.0], self._derivative_roots(), [1.0]))
 
     def _minimum_value(self) -> float:
         return float(np.min(self.evaluate(self._extrema_candidates())))
@@ -234,19 +231,14 @@ class ConditionalSlice:
     def top_mode(self) -> tuple[float, bool]:
         """Location of the global maximum; ties resolve to the smaller
         coordinate and are flagged."""
-        if self.family.is_discrete:
-            p = self.evaluate(self.family.grid)
-            best = int(np.argmax(p))
-            tied = int(np.sum(np.abs(p - p[best]) < 1e-12)) > 1
-            return float(self.family.grid[best]), tied
         xs = self._extrema_candidates()
         vals = self.evaluate(xs)
-        best = np.max(vals)
-        winners = np.sort(xs[vals > best - 1e-12])
+        winners = xs[vals >= np.max(vals) - 1e-12]  # >=: above 1e4, max - 1e-12 == max
         return float(winners[0]), winners.size > 1
 
     def modes_and_clusters(self) -> list[Cluster]:
-        """Clusters of [0,1] split at interior density minima.
+        """Clusters split at interior density minima, one per grid value
+        for a discrete coordinate.
 
         Each cluster reports its interval, conditional mean, and mass;
         slivers below the mass floor merge into the adjacent cluster with
@@ -263,33 +255,32 @@ class ConditionalSlice:
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 mass, mean = self._interval_stats(lo, hi)
                 clusters.append(Cluster(lo, hi, mean, mass))
-        clusters = self._merge_slivers(clusters)
-        return sorted(clusters, key=lambda c: (-c.mass, c.lo))
+        return sorted(_merge_slivers(clusters), key=lambda c: (-c.mass, c.lo))
 
-    def _merge_slivers(self, clusters: list[Cluster]) -> list[Cluster]:
-        clusters = list(clusters)
-        while len(clusters) > 1:
-            k = min(range(len(clusters)), key=lambda i: clusters[i].mass)
-            if clusters[k].mass >= MASS_FLOOR:
-                break
-            if k == 0:
-                nb = 1
-            elif k == len(clusters) - 1:
-                nb = k - 1
-            else:
-                nb = k - 1 if (abs(clusters[k - 1].mean - clusters[k].mean)
-                               <= abs(clusters[k + 1].mean - clusters[k].mean)) else k + 1
-            lo_i, hi_i = min(k, nb), max(k, nb)
-            lo, hi = clusters[lo_i].lo, clusters[hi_i].hi
-            if self.family.is_discrete:
-                a, b = clusters[lo_i], clusters[hi_i]
-                mass = a.mass + b.mass
-                mean = (a.mean * a.mass + b.mean * b.mass) / mass if mass else (lo + hi) / 2
-            else:
-                mass, mean = self._interval_stats(lo, hi)
-            merged = Cluster(lo, hi, mean, mass)
-            clusters[lo_i:hi_i + 1] = [merged]
-        return clusters
+
+def _merge_slivers(clusters: list[Cluster]) -> list[Cluster]:
+    """Merge the lightest cluster into its neighbour with the nearer mean
+    (the left one on a tie) until every mass reaches MASS_FLOOR.  A merge
+    sums the masses and takes the mass-weighted mean, so an unmerged
+    cluster keeps its mean exactly."""
+    clusters = list(clusters)
+    while len(clusters) > 1:
+        k = min(range(len(clusters)), key=lambda i: clusters[i].mass)
+        if clusters[k].mass >= MASS_FLOOR:
+            break
+        if k == 0:
+            nb = 1
+        elif k == len(clusters) - 1:
+            nb = k - 1
+        else:
+            nb = k - 1 if (abs(clusters[k - 1].mean - clusters[k].mean)
+                           <= abs(clusters[k + 1].mean - clusters[k].mean)) else k + 1
+        lo_i, hi_i = min(k, nb), max(k, nb)
+        a, b = clusters[lo_i], clusters[hi_i]
+        mass = a.mass + b.mass
+        mean = (a.mean * a.mass + b.mean * b.mass) / mass if mass else (a.lo + b.hi) / 2
+        clusters[lo_i:hi_i + 1] = [Cluster(a.lo, b.hi, mean, mass)]
+    return clusters
 
 
 def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
@@ -369,15 +360,13 @@ def impute(model: Model, record, policy: str = EXPECTED) -> list[Completion]:
     # each state carries the 1-D tables of its known coordinates
     states = [(Completion(start.copy(), 1.0, {}),
                {int(k): families[k].eval_all(start[k]) for k in known})]
-    while True:
-        missing_any = False
+    while any(np.isnan(state.values).any() for state, _ in states):
         next_states: list[tuple[Completion, dict]] = []
         for state, tables in states:
             missing = np.flatnonzero(np.isnan(state.values))
             if missing.size == 0:
                 next_states.append((state, tables))
                 continue
-            missing_any = True
             slices: dict[int, ConditionalSlice] = {}
             errors: list[Exception] = []
             for i in missing:
@@ -406,19 +395,13 @@ def impute(model: Model, record, policy: str = EXPECTED) -> list[Completion]:
                 fills = [(c.mean, c.mass / total) for c in clusters]
             for value, share in fills:
                 values = state.values.copy()
-                values[target] = min(1.0, max(0.0, value))
-                if sl.family.is_discrete:
-                    # snap to the nearest admissible grid value
-                    k = int(np.rint(values[target] * (sl.family.v - 1)))
-                    values[target] = k / (sl.family.v - 1)
+                values[target] = sl.family.snap(value)
                 variances = dict(state.variances)
                 variances[target] = mom.variance
                 next_states.append((
                     Completion(values, state.weight * share, variances, notes),
                     {**tables, target: sl.family.eval_all(values[target])}))
         states = next_states
-        if not missing_any:
-            break
     completions = [state for state, _ in states]
     total = sum(s.weight for s in completions)
     for s in completions:

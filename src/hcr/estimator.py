@@ -25,11 +25,15 @@ UNCERTAINTY_UNDEFINED = "uncertainty-undefined"
 def _aligned(spec: BasisSpec, values, constant, default=None):
     """One entry per spec.selected from an aligned sequence or a
     multi-index mapping, where an absent constant reads constant and any
-    other absent index default (with default None, an error)."""
+    other absent index default (with default None, an error); a mapping
+    key outside spec.selected is an error."""
     if not isinstance(values, Mapping):
         if len(values) != len(spec):
             raise ValueError(f"expected {len(spec)} aligned values, got {len(values)}")
         return values
+    foreign = [j for j in values if j not in spec]
+    if foreign:
+        raise ValueError(f"index {foreign[0]} is not in the selected set")
     missing = [j for j in spec.selected[1:] if j not in values]
     if missing and default is None:
         raise ValueError(f"coefficient missing for selected index {missing[0]}")

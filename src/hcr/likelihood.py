@@ -90,8 +90,8 @@ class _Workspace:
         orders = model.spec.orders
         self.V = np.ones((len(orders), self.n))
         for i, table in enumerate(_coordinate_tables(model.spec, values)):
-            for o in range(1, len(table)):
-                self.V[orders[:, i] == o] *= table[o]
+            for p in np.flatnonzero(orders[:, i]):
+                self.V[p] *= table[orders[p, i]]
         first = np.ones(self.n, dtype=bool)  # first record of its known set
         first[1:] = (present[1:] != present[:-1]).any(axis=1)
         starts = np.flatnonzero(first)
@@ -255,14 +255,6 @@ def repair_negative(model: Model, witness, strategy: str = RESCALE_ALL,
     return model.with_coefficients(coef)
 
 
-def _snap_to_grids(model: Model, points: np.ndarray) -> np.ndarray:
-    out = np.array(points, dtype=float)
-    for i, fam in enumerate(model.spec.families):
-        if fam.is_discrete:
-            out[:, i] = np.rint(out[:, i] * (fam.v - 1)) / (fam.v - 1)
-    return out
-
-
 def _primes(n: int) -> list[int]:
     out: list[int] = []
     k = 2
@@ -310,7 +302,9 @@ def find_negative_witness(model: Model, budget: int = 512):
     best_point = None
     best_value = 0.0
     for done in range(0, budget, WITNESS_BLOCK):
-        block = _snap_to_grids(model, list(islice(candidates, min(WITNESS_BLOCK, budget - done))))
+        block = np.array(list(islice(candidates, min(WITNESS_BLOCK, budget - done))))
+        for i, fam in enumerate(model.spec.families):
+            block[:, i] = fam.snap(block[:, i])
         values = evaluate_points(model, block)
         k = int(np.argmin(values))
         if values[k] < best_value:

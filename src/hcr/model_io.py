@@ -7,11 +7,12 @@ significant digits so save -> load -> save is byte-identical.
 """
 from __future__ import annotations
 
+import math
 
-from .basis1d import Family1D, discrete, legendre, trig
+from .basis1d import Family1D
 from .dataset import Identity, transform_from_tokens
 from .estimator import Model
-from .tensor_basis import BasisSpec, support
+from .tensor_basis import BasisSpec, _check_index, support
 
 __all__ = ["save_model", "load_model", "MAGIC", "FORMAT_VERSION"]
 
@@ -31,9 +32,9 @@ def save_model(model: Model, dest) -> None:
     for i in range(model.d):
         fam = model.spec.families[i]
         name = "_".join(str(names[i]).split()) or f"x{i + 1}"
-        v = str(fam.v) if fam.is_discrete else "-"
-        lines.append(" ".join(["column", str(i), name, fam.kind,
-                               str(fam.max_order), v, *transforms[i].tokens()]))
+        lines.append(" ".join(["column", str(i), name, fam.kind, str(fam.max_order),
+                               "-" if fam.v is None else str(fam.v),
+                               *transforms[i].tokens()]))
     for j, a, u, flag in zip(model.spec.selected, model.coef, model.unc, model.term_flags):
         ev = model.evidence.get(support(j), 0)
         lines.append(" ".join(["coef", ",".join(map(str, j)), _fmt(a), str(ev), _fmt(u),
@@ -44,16 +45,6 @@ def save_model(model: Model, dest) -> None:
     else:
         with open(dest, "w") as fh:
             fh.write(text)
-
-
-def _family_from(kind: str, max_order: int, v: str) -> Family1D:
-    if kind == "legendre":
-        return legendre(max_order)
-    if kind == "trig":
-        return trig(max_order)
-    if kind == "discrete":
-        return discrete(int(v), max_order)
-    raise ValueError(f"unknown family kind {kind!r}")
 
 
 def load_model(source) -> Model:
@@ -80,9 +71,9 @@ def load_model(source) -> Model:
         d = int(dim[1])
     except ValueError:
         raise ValueError(f"model file line 2: bad dimension {dim[1]!r}") from None
-    names: list[str] = [""] * d
-    families: list[Family1D | None] = [None] * d
-    transforms: list = [None] * d
+    if d < 1:
+        raise ValueError(f"model file line 2: dimension {d} is not positive")
+    columns = {}  # coordinate -> (line number, name, family, transform)
     selected = {}  # multi-index -> its line number
     coefficients = {}
     evidence = {}
@@ -98,9 +89,11 @@ def load_model(source) -> Model:
                 i = int(parts[1])
                 if not 0 <= i < d:
                     raise ValueError(f"column index {i} out of range")
-                names[i] = parts[2]
-                families[i] = _family_from(parts[3], int(parts[4]), parts[5])
-                transforms[i] = transform_from_tokens(parts[6:])
+                if i in columns:
+                    raise ValueError(f"duplicate column {i} (first on line {columns[i][0]})")
+                family = Family1D(parts[3], int(parts[4]),
+                                  None if parts[5] == "-" else int(parts[5]))
+                columns[i] = (lineno, parts[2], family, transform_from_tokens(parts[6:]))
             elif parts[0] == "coef":
                 j = tuple(int(t) for t in parts[1].split(","))
                 if len(j) != d:
@@ -109,6 +102,8 @@ def load_model(source) -> Model:
                     raise ValueError(f"duplicate coef {parts[1]} (first on line {selected[j]})")
                 selected[j] = lineno
                 coefficients[j] = float(parts[2])
+                if not math.isfinite(coefficients[j]):
+                    raise ValueError(f"coefficient {parts[2]} is not finite")
                 evidence[support(j)] = int(parts[3])
                 uncertainty[j] = float(parts[4])
                 flags[j] = "" if parts[5] == "-" else parts[5]
@@ -116,8 +111,14 @@ def load_model(source) -> Model:
                 raise ValueError(f"unknown record {parts[0]!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"model file line {lineno}: {exc}") from None
-    if any(f is None for f in families):
-        raise ValueError("model file missing column lines")
-    spec = BasisSpec(d, tuple(families), tuple(selected))
+    if len(columns) != d:
+        raise ValueError(f"model file has column lines for {len(columns)} of {d} coordinates")
+    _, names, families, transforms = zip(*(columns[i] for i in range(d)))
+    for j, lineno in selected.items():
+        try:
+            _check_index(j, families)
+        except ValueError as exc:
+            raise ValueError(f"model file line {lineno}: {exc}") from None
+    spec = BasisSpec(d, families, tuple(selected))
     return Model(spec, coefficients, evidence, uncertainty, flags,
-                 transforms=transforms, names=tuple(names))
+                 transforms=list(transforms), names=names)

@@ -42,6 +42,16 @@ def canonical_key(j: MultiIndex):
     return (len(s), s, tuple(j))
 
 
+def _check_index(j: MultiIndex, families: Sequence[Family1D]) -> None:
+    """Raise ValueError unless j holds one non-negative order per family,
+    each within its family's capacity."""
+    if len(j) != len(families) or min(j, default=0) < 0:
+        raise ValueError(f"multi-index {j} is not {len(families)} non-negative orders")
+    for i, (o, family) in enumerate(zip(j, families)):
+        if o > family.max_order:
+            raise ValueError(f"order {o} exceeds coordinate {i} family capacity")
+
+
 @dataclass
 class BasisSpec:
     """Per-coordinate families plus the selected multi-index set.
@@ -65,11 +75,7 @@ class BasisSpec:
         ordered = sorted(set(map(tuple, self.selected)) | {zero}, key=canonical_key)
         self.selected = tuple(ordered)
         for j in self.selected:
-            for i in support(j):
-                if j[i] > self.families[i].max_order:
-                    raise ValueError(
-                        f"order {j[i]} exceeds coordinate {i} family capacity"
-                    )
+            _check_index(j, self.families)
         self._position = {j: k for k, j in enumerate(self.selected)}
         self.orders = np.array(self.selected, dtype=np.intp).reshape(len(self.selected), self.d)
         self.orders.setflags(write=False)
@@ -82,6 +88,9 @@ class BasisSpec:
 
     def __len__(self) -> int:
         return len(self.selected)
+
+    def __contains__(self, j) -> bool:
+        return tuple(j) in self._position
 
     def position(self, j: MultiIndex) -> int:
         return self._position[tuple(j)]

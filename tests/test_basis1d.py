@@ -236,3 +236,28 @@ def test_gauss_nodes():
     # degree-7 polynomials integrate exactly with 4 nodes
     assert np.sum(w * x**7) == pytest.approx(1.0 / 8.0, abs=1e-14)
     assert gauss_nodes(4) is gauss_nodes(4)  # cached
+
+
+def test_snap_clips_then_rounds_onto_a_discrete_grid():
+    x = np.array([-0.3, 0.1, 0.29, 0.5, 0.7, 1.4])
+    assert np.array_equal(legendre(2).snap(x), [0.0, 0.1, 0.29, 0.5, 0.7, 1.0])
+    # a NaN fill must not stay missing: impute would loop on it
+    assert np.array_equal(legendre(2).snap([np.nan, np.inf, -np.inf]), [0.0, 1.0, 0.0])
+    assert discrete(3).snap(np.nan) == 0.0
+    assert np.array_equal(trig(2).snap(x), legendre(2).snap(x))
+    grid = discrete(4).grid  # 0, 1/3, 2/3, 1
+    assert np.array_equal(discrete(4).snap(x), grid[[0, 0, 1, 2, 2, 3]])
+    # np.rint rounds an exact half to the even index
+    assert discrete(3).snap(0.25) == 0.0 and discrete(3).snap(0.75) == 1.0
+    assert discrete(5).snap(0.5) == 0.5
+
+
+def test_discrete_moments_are_grid_sums():
+    from hcr.basis1d import _moment_table
+    fam = discrete(5, 3)
+    grid = fam.grid
+    table = _moment_table(fam)
+    for j in range(4):
+        row = fam.eval_all(grid)[j]
+        for p in range(3):
+            assert table[p, j] == pytest.approx(np.sum(grid**p * row) / 5, abs=1e-15)

@@ -431,3 +431,36 @@ def test_seed_flag_is_gone(tmp_path, capsys):
         main(["report", "--model", str(tmp_path / "m.model"), "--seed", "1"])
     assert exc.value.code == 1
     assert "--seed" in capsys.readouterr().err
+
+
+def test_transform_backward_duplicate_column_exits_2(tmp_path, capsys):
+    table = tmp_path / "unit.csv"
+    table.write_text("x\n0.5\n")
+    maps = tmp_path / "maps.txt"
+    maps.write_text("hcrtransforms 1\ncolumn 0 x rescale 0 10\ncolumn 0 x logistic\n")
+    out = tmp_path / "back.csv"
+    assert main(["transform", "--input", str(table), "--direction", "backward",
+                 "--transforms", str(maps), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "transforms file line 3: duplicate column 0 (first on line 2)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    ("dim 1\ncolumn 0 x legendre 2 - none\ncolumn 0 x legendre 2 - none\n",
+     "model file line 4: duplicate column 0 (first on line 3)"),
+    ("dim 1\ncolumn 0 x legendre 2 - none\ncoef 0 1 4 0 -\ncoef 3 0.5 4 0.1 -\n",
+     "model file line 5: order 3 exceeds coordinate 0 family capacity"),
+    ("dim 1\ncolumn 0 x legendre 2 - none\ncoef -1 0.5 4 0.1 -\n",
+     "model file line 4: multi-index (-1,) is not 1 non-negative orders"),
+    # far more coordinates than memory could hold one list entry for
+    ("dim 2000000000000000000\ncolumn 0 x legendre 2 - none\n",
+     "model file has column lines for 1 of 2000000000000000000 coordinates"),
+])
+def test_malformed_model_file_exits_2_naming_the_problem(tmp_path, capsys, body, message):
+    model = tmp_path / "m.model"
+    model.write_text("hcrmodel 1\n" + body)
+    assert main(["report", "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""

@@ -383,3 +383,11 @@ def test_impute_propagates_mass_error_from_bad_evidence():
     # the record knowing x2 = 0.5 restricts to a nonpositive region
     with pytest.raises(NonpositiveMassError):
         impute(m, (nan, 0.5))
+
+
+def test_evaluate_points_rejects_nan_in_a_read_coordinate():
+    m = make_model(build_full(2, legendre(2), 2), {(1, 0): 0.2, (0, 1): 0.1})
+    with pytest.raises(MissingCoordinateError, match=r"point 0 is missing coordinates \[0\]"):
+        evaluate_points(m, [[nan, 0.5], [0.0, 0.5]])
+    with pytest.raises(MissingCoordinateError, match=r"point 1 is missing coordinates \[0, 1\]"):
+        evaluate_points(m, [[0.5, 0.5], [nan, nan]])

@@ -282,3 +282,14 @@ def test_model_neither_changes_nor_keeps_the_callers_mappings():
         Model(spec, {(1,): 0.25}, evidence, uncertainty)
     with pytest.raises(ValueError, match="expected 3 aligned values"):
         Model(spec, [1.0, 0.25], evidence, uncertainty)
+
+
+def test_model_rejects_a_mapping_key_outside_the_selected_set():
+    from hcr import Model
+    spec = build_full(1, legendre(2), 2)
+    with pytest.raises(ValueError, match=r"index \(3,\) is not in the selected set"):
+        Model(spec, {(1,): 0.2, (2,): 0.1, (3,): 0.5}, {}, {})
+    with pytest.raises(ValueError, match=r"index \(0, 1\) is not in the selected set"):
+        Model(spec, {(1,): 0.2, (2,): 0.1}, {}, {(0, 1): 0.01})
+    with pytest.raises(ValueError, match=r"index \(5,\) is not in the selected set"):
+        Model(spec, {(1,): 0.2, (2,): 0.1}, {}, {}, {(5,): NO_EVIDENCE})

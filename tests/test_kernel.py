@@ -340,3 +340,178 @@ def test_nonpositive_mass_names_the_callers_row():
         rolled = np.roll(values, k, axis=0)
         with pytest.raises(NonpositiveMassError, match=f"record {(3 + k) % 6} "):
             gradient(model, Dataset(rolled))
+
+
+# ---------------------------------------------------------------------------
+# slice queries, one path for every family: moments, negativity, top mode
+# and clusters against brute force (grid sums for discrete coordinates,
+# quadrature and a dense grid for continuous ones)
+
+DENSE = np.linspace(0.0, 1.0, 20001)
+
+
+def ref_values(fam, coef, x):
+    """sum_o coef[o] f_o(x) at the points x, from the definitions."""
+    x = np.asarray(x, dtype=float)
+    if fam.is_discrete:
+        return np.array([sum(c * ref_eval(fam, o, g) for o, c in enumerate(coef)) for g in x])
+    if fam.kind == "legendre":
+        scale = np.sqrt(2 * np.arange(coef.size) + 1)
+        return np.polynomial.legendre.legval(2 * x - 1, coef * scale)
+    out = np.full(x.shape, coef[0])
+    for o in range(1, coef.size):
+        wave = np.sin if o % 2 else np.cos
+        out += coef[o] * math.sqrt(2.0) * wave(2 * math.pi * ((o + 1) // 2) * x)
+    return out
+
+
+def ref_quadrature(fam, coef, lo=0.0, hi=1.0):
+    """(mass, first moment, second moment) of the slice over [lo, hi]."""
+    t, w = np.polynomial.legendre.leggauss(200)
+    x, w = lo + (hi - lo) * (t + 1) / 2, (hi - lo) * w / 2
+    f = ref_values(fam, coef, x)
+    return tuple(float(np.sum(w * x**p * f)) for p in range(3))
+
+
+def random_slice(seed, d):
+    """A conditional slice of a random mixed-family model at random
+    evidence, or None when its mass is not positive."""
+    model, rng = random_model(seed, d)
+    i = int(rng.integers(d))
+    known = {k: random_value(rng, model.spec.families[k])
+             for k in range(d) if k != i and rng.random() < 0.6}
+    try:
+        return conditional_slice(model, known, i)
+    except NonpositiveMassError:
+        return None
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
+def test_slice_queries_match_brute_force(seed, d):
+    sl = random_slice(seed, d)
+    if sl is None:
+        return
+    fam, coef = sl.family, sl.coef
+    mom = sl.expected_value()
+    mode, tied = sl.top_mode()
+    if fam.is_discrete:
+        grid = fam.grid
+        f = ref_values(fam, coef, grid)
+        mean = float(np.sum(grid * f)) / fam.v
+        var = float(np.sum(grid**2 * f)) / fam.v - mean**2
+        assert mom.negative_region == bool(f.min() < 0)
+        winners = grid[f >= f.max() - 1e-12]
+        assert (mode, tied) == (winners[0], winners.size > 1)
+    else:
+        _, first, second = ref_quadrature(fam, coef)
+        mean, var = first, second - first**2
+        f = ref_values(fam, coef, DENSE)
+        slack = float(np.max(np.abs(np.diff(f, 2)))) + 1e-12  # bounds the grid's miss
+        if f.min() < 0:
+            assert mom.negative_region
+        if f.min() > slack:
+            assert not mom.negative_region
+        top = float(ref_values(fam, coef, [mode])[0])
+        assert f.max() - 1e-12 <= top <= f.max() + slack
+        near_top = np.flatnonzero(f >= f.max() - slack - 1e-12)
+        if np.all(np.diff(near_top) == 1) and near_top.size < DENSE.size:
+            assert not tied  # one peak, and not a constant slice
+    if mom.negative_region:
+        mean = min(1.0, max(0.0, mean))
+    assert mom.mean == pytest.approx(mean, rel=1e-10, abs=1e-10)
+    assert mom.variance == pytest.approx(max(var, 0.0), rel=1e-10, abs=1e-10)
+    assert sl.variance == mom.variance
+
+
+def discrete_slice(pmf):
+    """Slice of a discrete coordinate with grid masses pmf."""
+    fam = discrete(len(pmf))
+    table = np.array([[ref_eval(fam, o, g) for g in fam.grid] for o in range(fam.v)])
+    return ConditionalSlice(0, fam, table @ np.asarray(pmf, dtype=float), 1.0)
+
+
+@pytest.mark.parametrize("sl, mode, tied", [
+    (discrete_slice([0.25] * 4), 0.0, True),
+    (discrete_slice([0.1, 0.4, 0.4, 0.1]), 1 / 3, True),
+    (discrete_slice([0.1, 0.2, 0.4, 0.2, 0.1]), 0.5, False),
+    (ConditionalSlice(0, legendre(2), np.array([1.0, 0.0, 0.0]), 1.0), 0.0, True),
+    (ConditionalSlice(0, legendre(4), np.array([1.0, 0.0, 0.3, 0.0, 0.0]), 1.0), 0.0, True),
+    (ConditionalSlice(0, legendre(4), np.array([1.0, 0.0, -0.3, 0.0, 0.0]), 1.0), 0.5, False),
+    (ConditionalSlice(0, legendre(4), np.array([1.0, 0.0, 0.2, 0.0, -0.3]), 1.0), None, True),
+    (ConditionalSlice(0, trig(4), np.array([1.0, 0.0, 0.0, 0.0, -0.3]), 1.0), 0.25, True),
+    # values so large that max - 1e-12 rounds to max
+    (ConditionalSlice(0, legendre(1), np.array([1.0, 4e4]), 1.0), 1.0, False),
+    (ConditionalSlice(0, discrete(2), np.array([1.0, -4e4]), 1.0), 0.0, False),
+])
+def test_top_mode_exact_ties_resolve_to_the_smaller_coordinate(sl, mode, tied):
+    if mode is None:  # two interior maxima mirrored about 1/2: the left one
+        left = DENSE[DENSE < 0.5]
+        mode = left[np.argmax(ref_values(sl.family, sl.coef, left))]
+    got, got_tied = sl.top_mode()
+    assert got == pytest.approx(mode, abs=1e-4)
+    assert got_tied == tied
+
+
+def ref_clusters(sl):
+    """Clusters under the reference merge rule: discrete seeds are grid
+    points and a merge sums masses and mass-weights means; continuous
+    seeds are the intervals between the slice's interior minima and a
+    merge integrates the reference slice over the union."""
+    fam, coef = sl.family, sl.coef
+    if fam.is_discrete:
+        masses = ref_values(fam, coef, fam.grid) / fam.v
+        clusters = [(g, g, g, m) for g, m in zip(fam.grid, masses)]
+    else:
+        def stats(lo, hi):
+            mass, first, _ = ref_quadrature(fam, coef, lo, hi)
+            return (lo, hi, first / mass if mass else (lo + hi) / 2, mass)
+        cuts = [0.0, *sl._interior_minima().tolist(), 1.0]
+        clusters = [stats(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    while len(clusters) > 1:
+        k = int(np.argmin([c[3] for c in clusters]))
+        if clusters[k][3] >= 0.01:
+            break
+        if 0 < k < len(clusters) - 1:
+            left = abs(clusters[k - 1][2] - clusters[k][2])
+            nb = k - 1 if left <= abs(clusters[k + 1][2] - clusters[k][2]) else k + 1
+        else:
+            nb = 1 if k == 0 else k - 1
+        a, b = clusters[min(k, nb)], clusters[max(k, nb)]
+        if fam.is_discrete:
+            mass = a[3] + b[3]
+            merged = (a[0], b[1], (a[2] * a[3] + b[2] * b[3]) / mass if mass
+                      else (a[0] + b[1]) / 2, mass)
+        else:
+            merged = stats(a[0], b[1])
+        clusters[min(k, nb):max(k, nb) + 1] = [merged]
+    return clusters
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
+def test_clusters_match_reference_merge_rule(seed, d):
+    sl = random_slice(seed, d)
+    if sl is None:
+        return
+    got = sl.modes_and_clusters()
+    assert all(a.mass >= b.mass - 1e-12 for a, b in zip(got, got[1:]))
+    # mirror-symmetric slices have clusters of equal mass in either order
+    got = sorted(got, key=lambda c: c.lo)
+    want = sorted(ref_clusters(sl))
+    assert [(c.lo, c.hi) for c in got] == [(c[0], c[1]) for c in want]
+    for c, (_, _, mean, mass) in zip(got, want):
+        # rel: a slice at a tiny denominator has masses of order 1e4 that cancel
+        assert c.mass == pytest.approx(mass, rel=1e-9, abs=1e-9)
+        assert c.mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
+    assert sum(c.mass for c in got) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_interior_sliver_between_equidistant_neighbours_merges_left():
+    # grid 0, 1/4, 1/2, 3/4, 1: the sliver at 1/2 is 1/4 from both single-point
+    # neighbours, exactly, so the tie goes left
+    clusters = discrete_slice([0.3, 0.3, 0.005, 0.095, 0.3]).modes_and_clusters()
+    merged = [c for c in clusters if c.lo != c.hi]
+    assert len(clusters) == 4 and len(merged) == 1
+    assert (merged[0].lo, merged[0].hi) == (0.25, 0.5)
+    assert merged[0].mass == pytest.approx(0.305, abs=1e-12)
+    assert merged[0].mean == pytest.approx((0.25 * 0.3 + 0.5 * 0.005) / 0.305, abs=1e-12)
+    assert all(c.mean == c.lo for c in clusters if c.lo == c.hi)

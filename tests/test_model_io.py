@@ -201,3 +201,58 @@ def test_mapping_and_vector_forms_build_the_same_model():
         texts.append(buf.getvalue())
     assert texts[0] == texts[1]
     assert any(m.term_flags)
+
+
+def test_load_names_the_coef_line_of_a_bad_order():
+    head = "hcrmodel 1\ndim 1\ncolumn 0 x1 legendre 2 - none\ncoef 0 1 4 0 -\n"
+    # a negative order once loaded onto (-1,) and read the highest order's row
+    with pytest.raises(ValueError, match=r"model file line 5: multi-index \(-1,\) is not 1"):
+        load_model(io.StringIO(head + "coef -1 0.5 4 0.1 -\n"))
+    with pytest.raises(ValueError, match="model file line 5: order 3 exceeds coordinate 0"):
+        load_model(io.StringIO(head + "coef 3 0.5 4 0.1 -\n"))
+    # the coef line may come before the column line it is checked against
+    text = "hcrmodel 1\ndim 1\ncoef 3 0.5 4 0.1 -\ncolumn 0 x1 legendre 2 - none\n"
+    with pytest.raises(ValueError, match="model file line 3: order 3 exceeds"):
+        load_model(io.StringIO(text))
+
+
+def test_load_rejects_duplicate_column_lines():
+    text = ("hcrmodel 1\ndim 1\n"
+            "column 0 x1 legendre 2 - none\n"
+            "column 0 x1 trig 2 - none\n"
+            "coef 0 1 4 0 -\n")
+    with pytest.raises(ValueError, match="line 4: duplicate column 0 .*line 3"):
+        load_model(io.StringIO(text))
+
+
+def test_load_family_fields_are_checked():
+    for column, message in [("legendre 2 3", "v is only meaningful"),
+                            ("discrete 1 -", "needs v >= 2"),
+                            ("spline 2 -", "unknown family kind"),
+                            ("discrete 1 x", "invalid literal")]:
+        text = f"hcrmodel 1\ndim 1\ncolumn 0 x1 {column} none\ncoef 0 1 4 0 -\n"
+        with pytest.raises(ValueError, match=f"model file line 3: .*{message}"):
+            load_model(io.StringIO(text))
+
+
+def test_load_does_not_allocate_for_an_unbacked_dim():
+    import tracemalloc
+    text = "hcrmodel 1\ndim 1000000\ncolumn 0 x1 legendre 1 - none\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="column lines for 1 of 1000000 coordinates"):
+            load_model(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(ValueError, match="model file line 2: dimension 0 is not positive"):
+        load_model(io.StringIO("hcrmodel 1\ndim 0\n"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_a_non_finite_coefficient(value):
+    # at the parent such a model loaded, and top-mode impute then raised IndexError
+    text = f"hcrmodel 1\ndim 1\ncolumn 0 x1 legendre 2 - none\ncoef 1 {value} 4 0.1 -\n"
+    with pytest.raises(ValueError, match=f"model file line 4: coefficient {value} is not finite"):
+        load_model(io.StringIO(text))

@@ -146,3 +146,13 @@ def test_families_broadcast_and_length_check():
     assert all(f.kind == "legendre" for f in spec.families)
     with pytest.raises(ValueError):
         build_full(3, (legendre(2), trig(2)), 1)
+
+
+def test_spec_rejects_negative_orders_and_wrong_lengths():
+    from hcr import BasisSpec
+    fams = (legendre(2), legendre(2))
+    for bad in [(-1, 0), (0, -2), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match=r"is not 2 non-negative orders"):
+            BasisSpec(2, fams, ((1, 0), bad))
+    with pytest.raises(ValueError, match="order 3 exceeds coordinate 1"):
+        BasisSpec(2, fams, ((0, 3),))
