@@ -13,19 +13,19 @@ import numpy as np
 
 from .basis1d import Family1D, discrete
 from .dataset import (DEFAULT_MISSING_TOKENS, Identity, column_specs,
-                      fit_transform, load_table, parse_schema,
-                      transform_from_tokens, write_table)
-from .density import (CLUSTER_SPLIT, EXPECTED, TOP_MODE, clamp,
-                      conditional_slice, evaluate, impute)
+                      fit_transform, load_table, parse_schema, write_table)
+from .density import (CLUSTER_SPLIT, EXPECTED, TOP_MODE, _impute_rows, clamp,
+                      conditional_slice, evaluate)
 from .errors import HcrError, NonpositiveMassError, PositivityError, TableError
 from .estimator import fit
 from .likelihood import RefineConfig, find_negative_witness, refine
-from .model_io import load_model, save_model
+from .model_io import load_model, load_transforms, save_model, save_transforms
 from .tensor_basis import build_full, support
 
 __all__ = ["main"]
 
-TRANSFORMS_MAGIC = "hcrtransforms 1"
+# functions x cells per impute batch: bounds its largest arrays (16 MB each)
+IMPUTE_CHUNK = 1 << 21
 ORDER_LABELS = {1: "trend", 2: "focus/spread", 3: "skew-like", 4: "kurtosis-like"}
 
 
@@ -146,32 +146,30 @@ def cmd_impute(args) -> int:
         raise TableError(f"table has {data.d} coordinates, model expects {model.d}")
     transforms = model.transforms or [Identity() for _ in range(model.d)]
     unit = data.transformed(transforms)
-    out_rows = []
-    notes_seen = False
+    results, rows = [], max(1, IMPUTE_CHUNK // (len(model.spec) * model.d))
+    for start in range(0, data.n, rows):
+        results += _impute_rows(model, unit.values[start:start + rows], args.policy)
+    # per output row: its input row, unit values, weight, note and variances;
+    # a row left unfilled is written as it was read
+    source, filled, extras = [], [], []
     failures = 0
-    for k in range(data.n):
-        row = data.values[k]
-        missing = np.isnan(unit.values[k])
-        if not missing.any():
-            out_rows.append((list(row), 1.0, "", {}))
-            continue
-        try:
-            completions = impute(model, unit.values[k], args.policy)
-        except NonpositiveMassError as exc:
+    for k, res in enumerate(results):
+        if isinstance(res, NonpositiveMassError):
             failures += 1
-            notes_seen = True
-            out_rows.append((list(row), 1.0, f"nonpositive-mass:{exc.denominator:.6g}", {}))
-            continue
-        for comp in completions:
-            cells = []
-            for i in range(model.d):
-                if missing[i]:
-                    cells.append(float(np.asarray(transforms[i].invert(comp.values[i]))))
-                else:
-                    cells.append(row[i])
-            note = ";".join(comp.notes)
-            notes_seen = notes_seen or bool(note)
-            out_rows.append((cells, comp.weight, note, comp.variances))
+            res = [(unit.values[k], 1.0, f"nonpositive-mass:{res.denominator:.6g}", {})]
+        else:
+            res = [(c.values, c.weight, ";".join(c.notes), c.variances) for c in res]
+        for values, *extra in res:
+            source.append(k)
+            filled.append(values)
+            extras.append(extra)
+    cells = data.values[source]
+    filled = np.reshape(filled, cells.shape)
+    holes = np.isnan(unit.values[source]) & ~np.isnan(filled)
+    for i, tr in enumerate(transforms):
+        if holes[:, i].any():
+            cells[holes[:, i], i] = tr.invert(filled[holes[:, i], i])
+    notes_seen = any(note for _, note, _ in extras)
     header = list(data.names)
     with_weight = args.policy == CLUSTER_SPLIT
     if with_weight:
@@ -181,8 +179,8 @@ def cmd_impute(args) -> int:
     if args.report:
         header.extend(f"__hcr_var_{nm}" for nm in data.names)
     rendered = []
-    for cells, weight, note, variances in out_rows:
-        line = [None if (isinstance(c, float) and np.isnan(c)) else c for c in cells]
+    for row, (weight, note, variances) in zip(cells, extras):
+        line = [None if np.isnan(c) else c for c in row]
         if with_weight:
             line.append(weight)
         if notes_seen:
@@ -283,38 +281,12 @@ def cmd_transform(args) -> int:
         write_table(args.out if args.out else sys.stdout, data.names,
                     [list(r) for r in unit.values], args.sep, fmt=_float_cell)
         if args.transforms:
-            lines = [TRANSFORMS_MAGIC]
-            for i, (nm, tr) in enumerate(zip(data.names, transforms)):
-                safe = "_".join(str(nm).split()) or f"x{i + 1}"
-                lines.append(" ".join(["column", str(i), safe, *tr.tokens()]))
-            with open(args.transforms, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            save_transforms(data.names, transforms, args.transforms)
         return 0
     if not args.transforms:
         raise _UsageError("backward transform requires --transforms")
     data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
-    text = _read_text(args.transforms).splitlines()
-    if not text or text[0].strip() != TRANSFORMS_MAGIC:
-        raise TableError("not a transforms file (bad magic line)")
-    transforms = [Identity() for _ in range(data.d)]
-    first = {}  # column -> its line number
-    for lineno, raw in enumerate(text[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        try:
-            if parts[0] != "column" or len(parts) < 4:
-                raise ValueError("expected 'column <index> <name> <transform...>'")
-            i = int(parts[1])
-            if not 0 <= i < data.d:
-                raise ValueError(f"transform column {i} out of range")
-            if i in first:
-                raise ValueError(f"duplicate column {i} (first on line {first[i]})")
-            first[i] = lineno
-            transforms[i] = transform_from_tokens(parts[3:])
-        except (IndexError, ValueError) as exc:
-            raise TableError(f"transforms file line {lineno}: {exc}") from None
-    back = data.transformed(transforms, invert=True)
+    back = data.transformed(load_transforms(args.transforms, data.d), invert=True)
     write_table(args.out if args.out else sys.stdout, data.names,
                 [list(r) for r in back.values], args.sep, fmt=_float_cell)
     return 0

@@ -8,6 +8,7 @@ multimodal slices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -112,6 +113,122 @@ class Cluster:
     mass: float
 
 
+# Stacked slice queries: each takes a (rows, orders) block of normalized
+# slice coefficients of one family and answers every row on its own, so a
+# row's answer does not depend on the rows beside it.
+
+
+def _rowdot(coef: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Row r of coef against tables[r] (or one shared table), summed as
+    np.dot sums one slice against one table."""
+    return np.matmul(coef[:, None, :], tables)[:, 0]
+
+
+def _moments(coef: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed mean and variance of every slice from its family's
+    _moment_table (one for all rows, or one per row)."""
+    mean = _rowdot(coef, table[..., 1, :, None])[:, 0]
+    return mean, _rowdot(coef, table[..., 2, :, None])[:, 0] - mean * mean
+
+
+def _companion_roots(c: np.ndarray, legendre: bool) -> np.ndarray:
+    """Roots of every row of a (rows, n+1) block of Legendre or power series,
+    (rows, n), NaN where trailing zeros lower a row's degree: legroots or
+    polyroots of numpy.polynomial, one eigvals call per degree.  (A power
+    companion for a Legendre series moves a near-double root by sqrt(eps).)"""
+    n = c.shape[1] - 1
+    out = np.full((len(c), n), np.nan, dtype=complex)
+    nonzero = c != 0
+    degree = np.where(nonzero.any(axis=1), n - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    for deg in set(degree.tolist()) - {0}:  # degree 1 gives [[-c0 / c1]], as numpy does
+        rows = degree == deg
+        top, k = c[rows, :deg + 1], np.arange(deg - 1)
+        mat = np.zeros((len(top), deg, deg), dtype=c.dtype)
+        if legendre:  # legcompanion, rotated as legroots rotates it
+            scl = 1.0 / np.sqrt(2 * np.arange(deg) + 1)
+            mat[:, k, k + 1] = mat[:, k + 1, k] = np.arange(1, deg) * scl[:-1] * scl[1:]
+            mat[:, :, -1] -= (top[:, :-1] / top[:, -1:]) * (scl / scl[-1]) * (deg / (2 * deg - 1))
+            mat = mat[:, ::-1, ::-1]
+        else:  # polycompanion
+            mat[:, k + 1, k] = 1
+            mat[:, :, -1] -= top[:, :-1] / top[:, -1:]
+        out[rows, :deg] = np.linalg.eigvals(mat)
+    return out
+
+
+def _derivative_roots(family: Family1D, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary points in (0,1) of every continuous slice: (roots,
+    distinct), both (rows, n).  A row's distinct roots ascend, one per run
+    closer than 1e-9; the other entries are 2."""
+    if family.kind == "legendre":
+        # Legendre(coef * sqrt(2j+1), domain=[0, 1]).deriv().roots(), per row
+        scale = np.sqrt(2 * np.arange(coef.shape[1]) + 1)
+        z = 0.5 + 0.5 * _companion_roots(
+            np.polynomial.legendre.legder(coef * scale, scl=2, axis=1), True)
+        real = np.where(np.abs(z.imag) < 1e-9, z.real, np.nan)
+    else:
+        real = _trig_derivative_roots(coef)
+    roots = np.sort(np.where((real > 1e-10) & (real < 1 - 1e-10), real, 2.0), axis=1)
+    distinct = roots < 2.0
+    distinct[:, 1:] &= roots[:, 1:] - roots[:, :-1] > 1e-9
+    return roots, distinct
+
+
+def _trig_derivative_roots(coef: np.ndarray) -> np.ndarray:
+    """Stationary points of every trig slice, as angles of unit roots, NaN
+    elsewhere.  With a_k, b_k the sin/cos coefficients of frequency k and
+    z = e^{2 pi i x}, the derivative times z^K is the degree-2K polynomial
+    sum_k k [(a_k + i b_k) z^(K+k) + (a_k - i b_k) z^(K-k)]."""
+    a = coef[:, 1::2]  # orders 1, 3, 5, ...: sin of frequency 1, 2, 3, ...
+    b = np.zeros(a.shape)
+    b[:, :coef[:, 2::2].shape[1]] = coef[:, 2::2]  # orders 2, 4, ...: cos
+    freq, k = a.shape[1], np.arange(1, a.shape[1] + 1)
+    poly = np.zeros((len(coef), 2 * freq + 1), dtype=complex)
+    poly[:, freq + k] = k * (a + 1j * b)
+    poly[:, freq - k] = k * (a - 1j * b)
+    z = _companion_roots(poly, False)
+    return np.where(np.abs(np.abs(z) - 1.0) < 1e-6, np.angle(z) / (2 * np.pi) % 1.0, np.nan)
+
+
+def _extremes(family: Family1D, coef: np.ndarray, roots=None) -> tuple[np.ndarray, ...]:
+    """Minimum, mode and tie flag of every slice, over the grid of a
+    discrete coordinate, else over 0, the stationary points (roots, from
+    _derivative_roots if not given) and 1.  The mode is the smallest
+    candidate within 1e-12 of the maximum."""
+    if family.is_discrete:
+        xs = np.broadcast_to(family.grid, (len(coef), family.v))
+        distinct = np.ones(xs.shape, dtype=bool)
+    else:
+        roots, inner = _derivative_roots(family, coef) if roots is None else roots
+        end = np.ones((len(coef), 1), dtype=bool)
+        xs = np.concatenate([0.0 * end, np.where(inner, roots, 0.0), 1.0 * end], axis=1)
+        distinct = np.concatenate([end, inner, end], axis=1)
+    values = _rowdot(coef, family.eval_all(xs).transpose(1, 0, 2))
+    top = values.max(axis=1, where=distinct, initial=-np.inf)
+    winners = distinct & (values >= top[:, None] - 1e-12)  # >=: above 1e4, top - 1e-12 == top
+    return (values.min(axis=1, where=distinct, initial=np.inf),
+            xs[np.arange(len(xs)), np.argmax(winners, axis=1)], winners.sum(axis=1) > 1)
+
+
+@lru_cache(maxsize=None)
+def _sup_norms(family: Family1D) -> np.ndarray:
+    """max |f_o| per order: sqrt(2) for trig, else attained on the grid or
+    at an end of [0,1]."""
+    if family.kind == "trig":
+        return np.full(family.max_order + 1, np.sqrt(2.0))
+    return np.abs(family.eval_all(family.grid if family.is_discrete else [0.0, 1.0])).max(axis=1)
+
+
+def _negative(family: Family1D, coef: np.ndarray) -> np.ndarray:
+    """Whether each slice goes negative.  A slice kept above 1e-9 by
+    1 - sum_o |c_o| max|f_o| needs no extrema search."""
+    search = np.abs(coef[:, 1:]) @ _sup_norms(family)[1:] > 1 - 1e-9
+    negative = np.zeros(len(coef), dtype=bool)
+    if search.any():
+        negative[search] = _extremes(family, coef[search])[0] < 0
+    return negative
+
+
 @dataclass
 class ConditionalSlice:
     """One-coordinate section of the density with known coordinates fixed.
@@ -119,7 +236,9 @@ class ConditionalSlice:
     numerator[o] collects every compatible coefficient of order o in the
     free coordinate, already multiplied by its fixed-coordinate factors;
     denominator is numerator[0], the restriction to the known set, so the
-    normalized slice integrates to 1 by construction.
+    normalized slice integrates to 1 by construction.  Its queries are the
+    stacked ones above on a block of one row; the roots and extremes are
+    found once per slice, so treat a slice as read-only.
     """
 
     free_coordinate: int
@@ -140,40 +259,14 @@ class ConditionalSlice:
 
     # -- continuous-slice internals
 
-    def _trig_derivative_roots(self) -> np.ndarray:
-        """Stationary points of the trig slice, as angles of unit roots.
-
-        With a_k, b_k the sin/cos coefficients of frequency k and
-        z = e^{2 pi i x}, the derivative is proportional to
-        sum_k k [(a_k + i b_k) z^k + (a_k - i b_k) z^-k]; times z^K it is
-        a polynomial of degree 2K whose roots on the unit circle are the
-        real stationary points.
-        """
-        a = self.coef[1::2]  # orders 1, 3, 5, ...: sin of frequency 1, 2, 3, ...
-        b = np.zeros(a.size)
-        b[:self.coef[2::2].size] = self.coef[2::2]  # orders 2, 4, ...: cos
-        freq = a.size
-        k = np.arange(1, freq + 1)
-        poly = np.zeros(2 * freq + 1, dtype=complex)
-        poly[freq + k] = k * (a + 1j * b)
-        poly[freq - k] = k * (a - 1j * b)
-        z = np.polynomial.polynomial.polyroots(poly)
-        on_circle = z[np.abs(np.abs(z) - 1.0) < 1e-6]
-        return np.angle(on_circle) / (2 * np.pi) % 1.0
-
     def _derivative_roots(self) -> np.ndarray:
         """Stationary points in (0,1), ascending, deduplicated."""
-        if self.family.kind == "legendre":
-            if self.numerator.size < 3:
-                return np.empty(0)
-            scale = np.sqrt(2 * np.arange(self.numerator.size) + 1)
-            poly = np.polynomial.legendre.Legendre(self.coef * scale, domain=[0, 1])
-            roots = np.atleast_1d(poly.deriv().roots())
-            real = roots[np.abs(roots.imag) < 1e-9].real
-        else:
-            real = self._trig_derivative_roots()
-        real = np.sort(real[(real > 1e-10) & (real < 1 - 1e-10)])
-        return real[np.concatenate(([True], np.diff(real) > 1e-9))] if real.size else real
+        roots, distinct = self._roots
+        return roots[distinct]
+
+    @cached_property
+    def _roots(self) -> tuple[np.ndarray, np.ndarray]:
+        return _derivative_roots(self.family, self.coef[None])
 
     def _interior_minima(self) -> np.ndarray:
         r = self._derivative_roots()
@@ -194,17 +287,10 @@ class ConditionalSlice:
 
     # -- queries
 
-    def _signed_moments(self) -> tuple[float, float]:
-        """Mean and variance of the slice integrated as-is (signed), under
-        the family's measure (the grid's for a discrete coordinate)."""
-        moments = _moment_table(self.family)
-        mean = float(self.coef @ moments[1])
-        return mean, float(self.coef @ moments[2]) - mean * mean
-
     @property
     def variance(self) -> float:
         """Slice variance floored at 0, in closed form (no extrema search)."""
-        return max(self._signed_moments()[1], 0.0)
+        return max(float(_moments(self.coef[None], _moment_table(self.family))[1][0]), 0.0)
 
     def expected_value(self) -> SliceMoments:
         """Mean and variance of the slice, flagging negative regions.
@@ -212,29 +298,22 @@ class ConditionalSlice:
         A slice with negative parts is integrated as-is (signed) and the
         mean clipped into [0,1]; variance is floored at 0.
         """
-        mean, var = self._signed_moments()
-        negative = self._minimum_value() < 0
+        (mean,), (var,) = _moments(self.coef[None], _moment_table(self.family))
+        negative = bool(self._extremes[0][0] < 0)
         if negative:
             mean = min(1.0, max(0.0, mean))
-        return SliceMoments(float(mean), float(max(var, 0.0)), bool(negative))
-
-    def _extrema_candidates(self) -> np.ndarray:
-        """Ascending points holding every extreme of the slice: the grid of
-        a discrete coordinate, else the ends and the stationary points."""
-        if self.family.is_discrete:
-            return self.family.grid
-        return np.concatenate(([0.0], self._derivative_roots(), [1.0]))
-
-    def _minimum_value(self) -> float:
-        return float(np.min(self.evaluate(self._extrema_candidates())))
+        return SliceMoments(float(mean), max(float(var), 0.0), negative)
 
     def top_mode(self) -> tuple[float, bool]:
         """Location of the global maximum; ties resolve to the smaller
         coordinate and are flagged."""
-        xs = self._extrema_candidates()
-        vals = self.evaluate(xs)
-        winners = xs[vals >= np.max(vals) - 1e-12]  # >=: above 1e4, max - 1e-12 == max
-        return float(winners[0]), winners.size > 1
+        _, mode, tied = self._extremes
+        return float(mode[0]), bool(tied[0])
+
+    @cached_property
+    def _extremes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _extremes(self.family, self.coef[None],
+                         None if self.family.is_discrete else self._roots)
 
     def modes_and_clusters(self) -> list[Cluster]:
         """Clusters split at interior density minima, one per grid value
@@ -304,26 +383,66 @@ def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
     for k in values:
         if not 0 <= k < model.d:
             raise ValueError(f"known coordinate {k} out of range")
-    # eval_all validates range and grid membership
-    tables = {k: model.spec.families[k].eval_all(v) for k, v in values.items()}
-    return _slice(model, tables, i)
-
-
-def _slice(model: Model, tables: dict[int, np.ndarray], i: int) -> ConditionalSlice:
-    """conditional_slice from the 1-D tables of the known coordinates."""
-    orders = model.spec.orders
-    unknown = [k for k in range(model.d) if k != i and k not in tables]
-    keep = ~orders[:, unknown].any(axis=1)
-    factor = model.coef[keep] * model.spec.products(tables, keep)
+    point, cell = np.full((1, model.d), np.nan), np.zeros((1, model.d), dtype=bool)
+    point[0, list(values)], cell[0, i] = list(values.values()), True
     family = model.spec.families[i]
-    numerator = np.bincount(orders[keep, i], weights=factor,
-                            minlength=family.max_order + 1)
-    denominator = numerator[0]
-    if denominator <= 0:
-        raise NonpositiveMassError(
-            f"conditional mass for coordinate {i} is {denominator:.6g} at the given "
-            "evidence; repair the model or fall back to the marginal", denominator)
-    return ConditionalSlice(i, family, numerator, denominator)
+    numerator = _numerators(model, _known_products(model, point), [0], np.isnan(point), cell)[0]
+    if numerator[0] <= 0:
+        raise _mass_error(i, numerator[0])
+    return ConditionalSlice(i, family, numerator[:family.max_order + 1], numerator[0])
+
+
+def _known_products(model: Model, points: np.ndarray) -> np.ndarray:
+    """Every function's product over the known (non-NaN) coordinates of
+    each of an (n, d) block of points, (functions, n), in ascending
+    coordinate order.  eval_all validates the cells, once per family."""
+    missing = np.isnan(points)
+    given = np.where(missing, 0.0, points)
+    used, columns, tables = (~missing.all(axis=0)).tolist(), {}, {}
+    for k, family in enumerate(model.spec.families):
+        if used[k]:
+            columns.setdefault(family, []).append(k)
+    for family, cols in columns.items():
+        # an unknown cell reads 1 in every order, so it leaves the products as they are
+        stack = np.where(missing[:, cols], 1.0, family.eval_all(given[:, cols]))
+        tables.update(zip(cols, stack.transpose(2, 0, 1)))
+    if not tables:
+        return np.ones((len(model.spec), len(points)))
+    return model.spec.products(dict(sorted(tables.items())))
+
+
+def _numerators(model: Model, products: np.ndarray, column, missing: np.ndarray,
+                cells: np.ndarray) -> np.ndarray:
+    """Slice numerators of the cells (point p, coordinate i) marked in
+    cells, in np.nonzero order, (cells, orders of the widest family).
+    products[:, column[p]] holds every function's product over point p's
+    known coordinates, and missing (n, d) marks the rest.  A numerator
+    sums, in spec order, the functions that touch no unknown coordinate
+    but i."""
+    orders = model.spec.orders
+    touch = orders > 0
+    point, coord = np.nonzero(cells)
+    source = np.asarray(column)[point]  # each cell's products column
+    hits = touch @ missing.T.astype(np.int16)  # unknown coordinates each function touches
+    width = max(family.max_order for family in model.spec.families) + 1
+    out = np.zeros((len(point), width))
+    for i in set(coord.tolist()):  # one coordinate at a time bounds the temporaries
+        (at,) = np.nonzero(coord == i)
+        # a function counts when i is the only unknown coordinate it touches, if any;
+        # bincount adds in input order: functions outer, cells inner
+        f, c = np.nonzero(hits[:, point[at]] == touch[:, i, None])
+        weights = products[f, source[at][c]]
+        weights *= model.coef[f]
+        c *= width  # in place, to hold few arrays of this size at once
+        c += orders[f, i]
+        out[at] = np.bincount(c, weights, len(at) * width).reshape(-1, width)
+    return out
+
+
+def _mass_error(i: int, denominator: float) -> NonpositiveMassError:
+    return NonpositiveMassError(
+        f"conditional mass for coordinate {i} is {denominator:.6g} at the given "
+        "evidence; repair the model or fall back to the marginal", denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -348,62 +467,111 @@ def impute(model: Model, record, policy: str = EXPECTED) -> list[Completion]:
     cluster-split policy branches on multimodal slices, one weighted
     completion per cluster; weights are the cluster masses and sum to 1.
     """
-    if policy not in (EXPECTED, TOP_MODE, CLUSTER_SPLIT):
-        raise ValueError(f"unknown policy {policy!r}")
     start = np.asarray(record, dtype=float)
     if start.shape != (model.d,):
         raise ValueError(f"expected a length-{model.d} record")
     if not np.any(np.isnan(start)):
         raise ValueError("record is already complete")
-    families = model.spec.families
-    known = np.flatnonzero(~np.isnan(start))
-    # each state carries the 1-D tables of its known coordinates
-    states = [(Completion(start.copy(), 1.0, {}),
-               {int(k): families[k].eval_all(start[k]) for k in known})]
-    while any(np.isnan(state.values).any() for state, _ in states):
-        next_states: list[tuple[Completion, dict]] = []
-        for state, tables in states:
-            missing = np.flatnonzero(np.isnan(state.values))
-            if missing.size == 0:
-                next_states.append((state, tables))
-                continue
-            slices: dict[int, ConditionalSlice] = {}
-            errors: list[Exception] = []
-            for i in missing:
-                try:
-                    slices[int(i)] = _slice(model, tables, int(i))
-                except NonpositiveMassError as exc:
-                    errors.append(exc)
-            if not slices:
-                raise errors[0]
-            target = min(slices, key=lambda i: (slices[i].variance, i))
-            sl = slices[target]
-            mom = sl.expected_value()
-            notes = state.notes
-            if mom.negative_region:
-                notes = notes + (f"negative-region:{model.coordinate_names()[target]}",)
-            if policy == EXPECTED:
-                fills = [(mom.mean, 1.0)]
-            elif policy == TOP_MODE:
-                value, tied = sl.top_mode()
-                if tied:
-                    notes = notes + (f"mode-tie:{model.coordinate_names()[target]}",)
-                fills = [(value, 1.0)]
+    (out,) = _impute_rows(model, start[None], policy)
+    if isinstance(out, NonpositiveMassError):
+        raise out
+    return out
+
+
+def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
+    """impute for every row of an (n, d) block: per row its completions (a
+    complete row as it is), or the NonpositiveMassError it raises.
+
+    Each row is a state, as is each cluster-split branch, and a step fills
+    one cell of every open state.  A state carries every function's
+    product over its known coordinates, multiplied in the order they
+    became known (as given, then as filled), so a step's slices are one
+    bincount per missing coordinate over all states.
+    """
+    if policy not in (EXPECTED, TOP_MODE, CLUSTER_SPLIT):
+        raise ValueError(f"unknown policy {policy!r}")
+    families, names = model.spec.families, model.coordinate_names()
+    moments = np.zeros((model.d, 3, max(f.max_order for f in families) + 1))
+    for k, family in enumerate(families):
+        moments[k, :, :family.max_order + 1] = _moment_table(family)
+    values = np.array(block, dtype=float)
+    opened = np.isnan(values).any(axis=1)
+    products = _known_products(model, np.where(opened[:, None], values, np.nan))
+    column = np.arange(len(values))  # a state's products are products[:, column]
+    origin, weight = np.arange(len(values)), np.ones(len(values))
+    variance, filled = np.full(values.shape, np.nan), np.full(values.shape, -1)
+    notes, errors = [()] * len(values), {}
+    for step in range(model.d):  # filled[r, step]: the coordinate that step filled
+        (rows,) = np.nonzero(opened)
+        missing = np.isnan(values[rows])
+        point, coord = np.nonzero(missing)
+        num = _numerators(model, products, column[rows], missing, missing)
+        coef = np.divide(num, num[:, :1], out=np.zeros(num.shape), where=num[:, :1] > 0)
+        mean, var = _moments(coef, moments[coord])
+        spread, mass = np.full(missing.shape, np.inf), np.empty(len(rows))
+        spread[point, coord] = np.where(0.0 > var, 0.0, var)
+        mass[point] = num[:, 0]  # the same for every slice of a state
+        for r in np.flatnonzero(mass <= 0):  # the first failing state's lowest missing slice
+            errors.setdefault(int(origin[rows[r]]),
+                              _mass_error(int(np.argmax(missing[r])), mass[r]))
+        count = np.ones(len(values), dtype=int)  # the states each state becomes
+        if errors:
+            count[np.isin(origin, list(errors))] = 0
+        # fill the missing coordinate of least variance, ties to the lower
+        target = np.where(count[rows] > 0, np.argmin(spread, axis=1), -1)
+        fills = []  # (coordinate, states, values, branch shares)
+        for i in set(target.tolist()) - {-1}:
+            (at,) = np.nonzero((coord == i) & (target[point] == i))
+            width = families[i].max_order + 1
+            slice_coef, states, share = coef[at, :width], rows[point[at]], None
+            variance[states, i] = spread[point[at], i]
+            if policy == TOP_MODE:
+                minimum, value, tied = _extremes(families[i], slice_coef)
+                negative = minimum < 0
             else:
-                clusters = sl.modes_and_clusters()
-                total = sum(c.mass for c in clusters)
-                fills = [(c.mean, c.mass / total) for c in clusters]
-            for value, share in fills:
-                values = state.values.copy()
-                values[target] = sl.family.snap(value)
-                variances = dict(state.variances)
-                variances[target] = mom.variance
-                next_states.append((
-                    Completion(values, state.weight * share, variances, notes),
-                    {**tables, target: sl.family.eval_all(values[target])}))
-        states = next_states
-    completions = [state for state, _ in states]
-    total = sum(s.weight for s in completions)
-    for s in completions:
-        s.weight /= total
-    return completions
+                negative, tied = _negative(families[i], slice_coef), np.zeros(len(at), dtype=bool)
+                value = np.where(negative, np.where(mean[at] > 0.0, np.minimum(mean[at], 1.0), 0.0),
+                                 mean[at])
+            for r in states[negative]:
+                notes[r] += (f"negative-region:{names[i]}",)
+            for r in states[tied]:
+                notes[r] += (f"mode-tie:{names[i]}",)
+            if policy == CLUSTER_SPLIT:
+                branches = [ConditionalSlice(i, families[i], n, n[0]).modes_and_clusters()
+                            for n in num[at, :width]]
+                totals = [sum(c.mass for c in b) for b in branches]
+                count[states] = [len(b) for b in branches]
+                states = np.repeat(states, count[states])
+                value = np.array([c.mean for b in branches for c in b])
+                share = np.array([c.mass / t for b, t in zip(branches, totals) for c in b])
+            fills.append((i, states, value, share))
+        if (count != 1).any():  # drop failed rows' states, expand branches in order
+            start = np.cumsum(count) - count
+            state = np.repeat(np.arange(len(values)), count)
+            values, origin, weight, variance, filled, column = (
+                a[state] for a in (values, origin, weight, variance, filled, column))
+            notes = [notes[r] for r in state]
+            fills = [(i, start[s] + np.arange(len(s)) - np.searchsorted(s, s), v, w)
+                     for i, s, v, w in fills]
+        for i, states, value, share in fills:
+            values[states, i] = families[i].snap(value)
+            filled[states, step] = i
+            if share is not None:
+                weight[states] *= share
+        opened = np.isnan(values).any(axis=1)
+        if not opened.any():
+            break
+        # the products of the states still open, times the cell each just filled
+        (rows,) = np.nonzero(opened)
+        products, column[rows] = products[:, column[rows]], np.arange(len(rows))
+        for i in set(filled[rows, step].tolist()):
+            (at,) = np.nonzero(filled[rows, step] == i)
+            products[:, at] *= model.spec.products({i: families[i].eval_all(values[rows[at], i])})
+    weight = (weight / np.bincount(origin, weight, len(block))[origin]).tolist()
+    out: list = [[] for _ in range(len(block))]
+    for r, (k, order) in enumerate(zip(origin.tolist(), filled.tolist())):
+        out[k].append(Completion(values[r].copy(), weight[r],
+                                 {t: float(variance[r, t]) for t in order if t >= 0}, notes[r]))
+    for k, exc in errors.items():
+        out[k] = exc
+    return out

@@ -59,6 +59,9 @@ class Model:
         self.spec = spec
         self.coef = np.array(_aligned(spec, coefficients, 1.0), dtype=float)
         self.coef[0] = 1.0
+        if not np.isfinite(self.coef).all():
+            bad = int(np.argmin(np.isfinite(self.coef)))
+            raise ValueError(f"coefficient of {spec.selected[bad]} is not finite")
         self.unc = np.array(_aligned(spec, uncertainty, 0.0, float("nan")), dtype=float)
         for vec in (self.coef, self.unc):
             vec.setflags(write=False)

@@ -1,9 +1,11 @@
-"""Versioned plain-text model files.
+"""Versioned plain-text model and transforms files.
 
 Line-oriented and diffable: a magic header, one `column` line per
 coordinate (family plus transform tokens), then one `coef` line per
-selected multi-index in canonical order.  Floats are written with 17
-significant digits so save -> load -> save is byte-identical.
+selected multi-index in canonical order.  A transforms file holds the
+magic line and the column lines' name and transform only.  Floats are
+written with 17 significant digits so save -> load -> save is
+byte-identical.
 """
 from __future__ import annotations
 
@@ -11,17 +13,40 @@ import math
 
 from .basis1d import Family1D
 from .dataset import Identity, transform_from_tokens
+from .errors import TableError
 from .estimator import Model
 from .tensor_basis import BasisSpec, _check_index, support
 
-__all__ = ["save_model", "load_model", "MAGIC", "FORMAT_VERSION"]
+__all__ = ["save_model", "load_model", "save_transforms", "load_transforms", "MAGIC",
+           "FORMAT_VERSION"]
 
 MAGIC = "hcrmodel"
 FORMAT_VERSION = 1
+TRANSFORMS_MAGIC = "hcrtransforms 1"
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _name(names, i: int) -> str:
+    return "_".join(str(names[i]).split()) or f"x{i + 1}"
+
+
+def _write(lines: list[str], dest) -> None:
+    text = "\n".join(lines) + "\n"
+    if hasattr(dest, "write"):
+        dest.write(text)
+    else:
+        with open(dest, "w") as fh:
+            fh.write(text)
+
+
+def _read(source) -> list[str]:
+    if hasattr(source, "read"):
+        return source.read().splitlines()
+    with open(source) as fh:
+        return fh.read().splitlines()
 
 
 def save_model(model: Model, dest) -> None:
@@ -31,30 +56,53 @@ def save_model(model: Model, dest) -> None:
     lines = [f"{MAGIC} {FORMAT_VERSION}", f"dim {model.d}"]
     for i in range(model.d):
         fam = model.spec.families[i]
-        name = "_".join(str(names[i]).split()) or f"x{i + 1}"
-        lines.append(" ".join(["column", str(i), name, fam.kind, str(fam.max_order),
+        lines.append(" ".join(["column", str(i), _name(names, i), fam.kind, str(fam.max_order),
                                "-" if fam.v is None else str(fam.v),
                                *transforms[i].tokens()]))
     for j, a, u, flag in zip(model.spec.selected, model.coef, model.unc, model.term_flags):
         ev = model.evidence.get(support(j), 0)
         lines.append(" ".join(["coef", ",".join(map(str, j)), _fmt(a), str(ev), _fmt(u),
                                flag or "-"]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as fh:
-            fh.write(text)
+    _write(lines, dest)
+
+
+def save_transforms(names, transforms, dest) -> None:
+    """Write per-column transforms to a path or text stream."""
+    _write([TRANSFORMS_MAGIC, *(" ".join(["column", str(i), _name(names, i), *tr.tokens()])
+                                for i, tr in enumerate(transforms))], dest)
+
+
+def load_transforms(source, d: int) -> list:
+    """Read the transforms of a d-column table written by save_transforms;
+    a column without a line keeps the identity.  Errors are TableErrors
+    that name the line."""
+    lines = _read(source)
+    if not lines or lines[0].strip() != TRANSFORMS_MAGIC:
+        raise TableError("not a transforms file (bad magic line)")
+    transforms = [Identity() for _ in range(d)]
+    first = {}  # column -> its line number
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split()
+        try:
+            if parts[0] != "column" or len(parts) < 4:
+                raise ValueError("expected 'column <index> <name> <transform...>'")
+            i = int(parts[1])
+            if not 0 <= i < d:
+                raise ValueError(f"transform column {i} out of range")
+            if i in first:
+                raise ValueError(f"duplicate column {i} (first on line {first[i]})")
+            first[i] = lineno
+            transforms[i] = transform_from_tokens(parts[3:])
+        except (IndexError, ValueError) as exc:
+            raise TableError(f"transforms file line {lineno}: {exc}") from None
+    return transforms
 
 
 def load_model(source) -> Model:
     """Read a model written by save_model."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    lines = text.splitlines()
+    lines = _read(source)
     if not lines:
         raise ValueError("empty model file")
     head = lines[0].split()

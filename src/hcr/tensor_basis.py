@@ -113,12 +113,13 @@ class BasisSpec:
         """Per selected function, the product of tables[k][order in k] over
         the coordinates k in tables.
 
-        tables[k] is the stack of all 1-D orders at one value of
-        coordinate k (Family1D.eval_all of a scalar); rows picks functions
-        by position or mask.  Coordinates left out of tables contribute 1.
+        tables[k] is the stack of all 1-D orders of coordinate k
+        (Family1D.eval_all) at one value, or at n values, shape (orders, n),
+        giving (functions, n); rows picks functions by position or mask.
+        Coordinates left out of tables contribute 1.
         """
         orders = self.orders[rows]
-        out = np.ones(orders.shape[0])
+        out = np.ones(orders.shape[:1] + next((t.shape[1:] for t in tables.values()), ()))
         for k, table in tables.items():
             out *= table[orders[:, k]]
         return out

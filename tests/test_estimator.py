@@ -293,3 +293,16 @@ def test_model_rejects_a_mapping_key_outside_the_selected_set():
         Model(spec, {(1,): 0.2, (2,): 0.1}, {}, {(0, 1): 0.01})
     with pytest.raises(ValueError, match=r"index \(5,\) is not in the selected set"):
         Model(spec, {(1,): 0.2, (2,): 0.1}, {}, {}, {(5,): NO_EVIDENCE})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_model_rejects_non_finite_coefficients_and_allows_nan_uncertainty(bad):
+    from hcr import Model
+    spec = build_full(2, legendre(1), 1)
+    coef = {(1, 0): 0.1, (0, 1): bad, (1, 1): 0.2}
+    with pytest.raises(ValueError, match=r"coefficient of \(0, 1\) is not finite"):
+        Model(spec, coef, {}, {})
+    model = Model(spec, {(1, 0): 0.1, (0, 1): 0.0, (1, 1): 0.2}, {}, {(1, 0): float("nan")})
+    assert np.isnan(model.uncertainty[(1, 0)])
+    with pytest.raises(ValueError, match=r"coefficient of \(0, 1\) is not finite"):
+        model.with_coefficients(coef)

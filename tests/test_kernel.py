@@ -17,10 +17,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hcr
-from hcr import (BasisSpec, ConditionalSlice, Dataset, Model, NonpositiveMassError,
-                 PositivityError, RefineConfig, adapt, build_full, conditional_slice,
-                 discrete, evaluate, find_negative_witness, gradient, legendre, refine,
-                 support, trig)
+from hcr import (BasisSpec, Completion, ConditionalSlice, Dataset, Model,
+                 NonpositiveMassError, PositivityError, RefineConfig, adapt, build_full,
+                 conditional_slice, discrete, evaluate, find_negative_witness, gradient,
+                 impute, legendre, refine, support, trig)
+from hcr.density import _derivative_roots, _extremes, _impute_rows
 from hcr.likelihood import _candidate_points, _halton
 from hcr.tensor_basis import MAX_FUNCTIONS
 
@@ -515,3 +516,160 @@ def test_interior_sliver_between_equidistant_neighbours_merges_left():
     assert merged[0].mass == pytest.approx(0.305, abs=1e-12)
     assert merged[0].mean == pytest.approx((0.25 * 0.3 + 0.5 * 0.005) / 0.305, abs=1e-12)
     assert all(c.mean == c.lo for c in clusters if c.lo == c.hi)
+
+
+# ---------------------------------------------------------------------------
+# batch impute: a block of rows gives, per row, what that row gives alone,
+# and what the greedy slice-by-slice definition gives
+
+POLICIES = ("expected", "top-mode", "cluster-split")
+
+
+def random_block(model, rng):
+    """Rows of random cells, some missing at random, the first fully missing."""
+    n = int(rng.integers(1, 9))
+    block = np.array([[random_value(rng, f) for f in model.spec.families] for _ in range(n)])
+    block[rng.random(block.shape) < rng.choice([0.2, 0.5, 0.8])] = np.nan
+    block[0] = np.nan
+    return block
+
+
+def assert_same_result(got, want, tol=1e-12):
+    if isinstance(want, NonpositiveMassError):
+        assert isinstance(got, NonpositiveMassError)
+        assert str(got) == str(want)
+        assert got.denominator == pytest.approx(want.denominator, rel=tol, abs=tol)
+        return
+    assert not isinstance(got, NonpositiveMassError), got
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.allclose(a.values, b.values, rtol=0, atol=tol)
+        assert a.weight == pytest.approx(b.weight, rel=0, abs=tol)
+        assert list(a.variances) == list(b.variances)
+        assert np.allclose(list(a.variances.values()), list(b.variances.values()),
+                           rtol=tol, atol=tol)
+        assert a.notes == b.notes
+
+
+def one_row(model, row, policy):
+    try:
+        return impute(model, row, policy)
+    except NonpositiveMassError as exc:
+        return exc
+
+
+def ref_impute(model, record, policy):
+    """The greedy fill from the definitions: one conditional_slice per
+    missing coordinate of every state, the least variance filled first."""
+    names = model.coordinate_names()
+    states = [(np.array(record, dtype=float), 1.0, {}, ())]
+    while any(np.isnan(s[0]).any() for s in states):
+        following = []
+        for values, weight, variances, notes in states:
+            missing = np.flatnonzero(np.isnan(values)).tolist()
+            if not missing:
+                following.append((values, weight, variances, notes))
+                continue
+            try:
+                slices = {i: conditional_slice(model, values, i) for i in missing}
+            except NonpositiveMassError:
+                return _first_mass_error(model, values, missing)
+            i = min(missing, key=lambda k: (slices[k].variance, k))
+            mom = slices[i].expected_value()
+            notes += (f"negative-region:{names[i]}",) * mom.negative_region
+            fills = [(mom.mean, 1.0)]
+            if policy == "top-mode":
+                mode, tied = slices[i].top_mode()
+                fills, notes = [(mode, 1.0)], notes + (f"mode-tie:{names[i]}",) * tied
+            elif policy == "cluster-split":
+                clusters = slices[i].modes_and_clusters()
+                fills = [(c.mean, c.mass / sum(c.mass for c in clusters)) for c in clusters]
+            for value, share in fills:
+                filled = values.copy()
+                filled[i] = model.spec.families[i].snap(value)
+                following.append((filled, weight * share, {**variances, i: mom.variance}, notes))
+        states = following
+    total = sum(s[1] for s in states)
+    return [Completion(v, w / total, var, n) for v, w, var, n in states]
+
+
+def _first_mass_error(model, values, missing):
+    for i in missing:
+        try:
+            conditional_slice(model, values, i)
+        except NonpositiveMassError as exc:
+            return exc
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), policy=st.sampled_from(POLICIES))
+def test_block_impute_matches_one_row_calls_in_any_order(seed, d, policy):
+    model, rng = random_model(seed, d)
+    block = random_block(model, rng)
+    got = _impute_rows(model, block, policy)
+    assert len(got) == len(block)
+    for row, res in zip(block, got):
+        if np.isnan(row).any():
+            assert_same_result(res, one_row(model, row, policy))
+        else:
+            assert len(res) == 1 and np.array_equal(res[0].values, row)
+            assert (res[0].weight, res[0].variances, res[0].notes) == (1.0, {}, ())
+    perm = rng.permutation(len(block))
+    for k, res in zip(perm, _impute_rows(model, block[perm], policy)):
+        assert_same_result(res, got[k], tol=0.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), policy=st.sampled_from(POLICIES))
+def test_block_impute_matches_the_slice_by_slice_definition(seed, d, policy):
+    model, rng = random_model(seed, d)
+    block = random_block(model, rng)
+    for row, res in zip(block, _impute_rows(model, block, policy)):
+        if np.isnan(row).any():
+            assert_same_result(res, ref_impute(model, row, policy), tol=1e-9)
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12))
+def test_stacked_roots_and_extremes_match_one_slice(seed, rows):
+    rng = np.random.default_rng(seed)
+    family = random_family(rng)
+    coef = rng.uniform(-2, 2, (rows, family.max_order + 1)) * rng.choice([0.01, 0.3, 3.0])
+    coef[:, 0] = 1.0
+    coef[rng.random(rows) < 0.3, -1] = 0.0  # trailing zeros lower the degree
+    minimum, mode, tied = _extremes(family, coef)
+    if not family.is_discrete:
+        roots, distinct = _derivative_roots(family, coef)
+    for r in range(rows):
+        sl = ConditionalSlice(0, family, coef[r].copy(), 1.0)
+        assert (minimum[r] < 0, float(mode[r]), bool(tied[r])) == (
+            sl.expected_value().negative_region, *sl.top_mode())
+        if family.is_discrete:
+            continue
+        one = sl._derivative_roots()
+        assert np.array_equal(roots[r][distinct[r]], one)
+        if family.kind == "legendre":  # numpy.polynomial on the one slice
+            scale = np.sqrt(2 * np.arange(coef.shape[1]) + 1)
+            z = np.atleast_1d(np.polynomial.legendre.Legendre(
+                coef[r] * scale, domain=[0, 1]).deriv().roots())
+            real = np.sort(z[np.abs(z.imag) < 1e-9].real)
+            real = real[(real > 1e-10) & (real < 1 - 1e-10)]
+            assert np.array_equal(one, real[np.r_[True, np.diff(real) > 1e-9]] if real.size
+                                  else real)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_cli_impute_output_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, policy):
+    from hcr import cli, save_model
+    model, rng = random_model(11, 3, scale=0.2)
+    block = np.vstack([random_block(model, rng) for _ in range(6)])
+    table, model_path = tmp_path / "holes.csv", tmp_path / "m.model"
+    table.write_text("x1,x2,x3\n" + "".join(
+        ",".join("" if np.isnan(c) else repr(float(c)) for c in row) + "\n" for row in block))
+    save_model(model, model_path)
+    outputs = []
+    for chunk in (cli.IMPUTE_CHUNK, len(model.spec) * model.d * 3, 1):
+        monkeypatch.setattr(cli, "IMPUTE_CHUNK", chunk)
+        out = tmp_path / f"filled-{chunk}.csv"
+        assert cli.main(["impute", "--model", str(model_path), "--input", str(table),
+                         "--out", str(out), "--report", "--policy", policy]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count(b"\n") >= len(block) + 1

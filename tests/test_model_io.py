@@ -256,3 +256,23 @@ def test_load_rejects_a_non_finite_coefficient(value):
     text = f"hcrmodel 1\ndim 1\ncolumn 0 x1 legendre 2 - none\ncoef 1 {value} 4 0.1 -\n"
     with pytest.raises(ValueError, match=f"model file line 4: coefficient {value} is not finite"):
         load_model(io.StringIO(text))
+
+
+def test_transforms_file_save_load_save_is_byte_identical(tmp_path):
+    from hcr import CategoryGrid, Identity, Logistic, Rescale
+    from hcr.model_io import load_transforms, save_transforms
+    rng = np.random.default_rng(5)
+    transforms = [Identity(), Rescale(-2.5, 7.125), Logistic(),
+                  fit_empirical_cdf(rng.normal(size=30)), CategoryGrid([3.0, 1.5, 10.0])]
+    names = ["a", "two words", "", "d", "e"]
+    first, second = tmp_path / "first.maps", tmp_path / "second.maps"
+    save_transforms(names, transforms, first)
+    back = load_transforms(first, len(transforms))
+    save_transforms(names, back, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert first.read_text().splitlines()[:4] == [
+        "hcrtransforms 1", "column 0 a none", "column 1 two_words rescale -2.5 7.125",
+        "column 2 x3 logistic"]
+    assert [t.kind for t in back] == [t.kind for t in transforms]
+    # a column without a line keeps the identity
+    assert load_transforms(io.StringIO("hcrtransforms 1\n"), 2)[1].kind == "none"
