@@ -190,16 +190,16 @@ def _trig_derivative_roots(coef: np.ndarray) -> np.ndarray:
     return np.where(np.abs(np.abs(z) - 1.0) < 1e-6, np.angle(z) / (2 * np.pi) % 1.0, np.nan)
 
 
-def _extremes(family: Family1D, coef: np.ndarray, roots=None) -> tuple[np.ndarray, ...]:
-    """Minimum, mode and tie flag of every slice, over the grid of a
-    discrete coordinate, else over 0, the stationary points (roots, from
-    _derivative_roots if not given) and 1.  The mode is the smallest
-    candidate within 1e-12 of the maximum."""
+def _extremes(family: Family1D, coef: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Minimum, mode and tie flag of every slice, and the candidates
+    searched with their validity mask: the grid of a discrete coordinate,
+    else 0, the distinct stationary points and 1.  The mode is the
+    smallest candidate within 1e-12 of the maximum."""
     if family.is_discrete:
         xs = np.broadcast_to(family.grid, (len(coef), family.v))
         distinct = np.ones(xs.shape, dtype=bool)
     else:
-        roots, inner = _derivative_roots(family, coef) if roots is None else roots
+        roots, inner = _derivative_roots(family, coef)
         end = np.ones((len(coef), 1), dtype=bool)
         xs = np.concatenate([0.0 * end, np.where(inner, roots, 0.0), 1.0 * end], axis=1)
         distinct = np.concatenate([end, inner, end], axis=1)
@@ -207,7 +207,8 @@ def _extremes(family: Family1D, coef: np.ndarray, roots=None) -> tuple[np.ndarra
     top = values.max(axis=1, where=distinct, initial=-np.inf)
     winners = distinct & (values >= top[:, None] - 1e-12)  # >=: above 1e4, top - 1e-12 == top
     return (values.min(axis=1, where=distinct, initial=np.inf),
-            xs[np.arange(len(xs)), np.argmax(winners, axis=1)], winners.sum(axis=1) > 1)
+            xs[np.arange(len(xs)), np.argmax(winners, axis=1)], winners.sum(axis=1) > 1,
+            xs, distinct)
 
 
 @lru_cache(maxsize=None)
@@ -261,12 +262,8 @@ class ConditionalSlice:
 
     def _derivative_roots(self) -> np.ndarray:
         """Stationary points in (0,1), ascending, deduplicated."""
-        roots, distinct = self._roots
-        return roots[distinct]
-
-    @cached_property
-    def _roots(self) -> tuple[np.ndarray, np.ndarray]:
-        return _derivative_roots(self.family, self.coef[None])
+        *_, xs, distinct = self._extremes
+        return xs[distinct][1:-1]
 
     def _interior_minima(self) -> np.ndarray:
         r = self._derivative_roots()
@@ -307,13 +304,12 @@ class ConditionalSlice:
     def top_mode(self) -> tuple[float, bool]:
         """Location of the global maximum; ties resolve to the smaller
         coordinate and are flagged."""
-        _, mode, tied = self._extremes
+        _, mode, tied, *_ = self._extremes
         return float(mode[0]), bool(tied[0])
 
     @cached_property
-    def _extremes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _extremes(self.family, self.coef[None],
-                         None if self.family.is_discrete else self._roots)
+    def _extremes(self) -> tuple[np.ndarray, ...]:
+        return _extremes(self.family, self.coef[None])
 
     def modes_and_clusters(self) -> list[Cluster]:
         """Clusters split at interior density minima, one per grid value
@@ -526,7 +522,7 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
             slice_coef, states, share = coef[at, :width], rows[point[at]], None
             variance[states, i] = spread[point[at], i]
             if policy == TOP_MODE:
-                minimum, value, tied = _extremes(families[i], slice_coef)
+                minimum, value, tied, *_ = _extremes(families[i], slice_coef)
                 negative = minimum < 0
             else:
                 negative, tied = _negative(families[i], slice_coef), np.zeros(len(at), dtype=bool)

@@ -634,7 +634,7 @@ def test_stacked_roots_and_extremes_match_one_slice(seed, rows):
     coef = rng.uniform(-2, 2, (rows, family.max_order + 1)) * rng.choice([0.01, 0.3, 3.0])
     coef[:, 0] = 1.0
     coef[rng.random(rows) < 0.3, -1] = 0.0  # trailing zeros lower the degree
-    minimum, mode, tied = _extremes(family, coef)
+    minimum, mode, tied, *_ = _extremes(family, coef)
     if not family.is_discrete:
         roots, distinct = _derivative_roots(family, coef)
     for r in range(rows):
@@ -645,14 +645,22 @@ def test_stacked_roots_and_extremes_match_one_slice(seed, rows):
             continue
         one = sl._derivative_roots()
         assert np.array_equal(roots[r][distinct[r]], one)
-        if family.kind == "legendre":  # numpy.polynomial on the one slice
+        # numpy.polynomial on the one slice
+        if family.kind == "legendre":
             scale = np.sqrt(2 * np.arange(coef.shape[1]) + 1)
             z = np.atleast_1d(np.polynomial.legendre.Legendre(
                 coef[r] * scale, domain=[0, 1]).deriv().roots())
-            real = np.sort(z[np.abs(z.imag) < 1e-9].real)
-            real = real[(real > 1e-10) & (real < 1 - 1e-10)]
-            assert np.array_equal(one, real[np.r_[True, np.diff(real) > 1e-9]] if real.size
-                                  else real)
+            real = z[np.abs(z.imag) < 1e-9].real
+        else:  # polyroots of the derivative times z^K, z = e^{2 pi i x}
+            a, b = coef[r, 1::2], np.zeros(coef[r, 1::2].size)
+            b[:coef[r, 2::2].size] = coef[r, 2::2]
+            k = np.arange(1, a.size + 1)
+            poly = np.zeros(2 * a.size + 1, dtype=complex)
+            poly[a.size + k], poly[a.size - k] = k * (a + 1j * b), k * (a - 1j * b)
+            z = np.polynomial.polynomial.polyroots(poly)
+            real = np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-6]) / (2 * np.pi) % 1.0
+        real = np.sort(real[(real > 1e-10) & (real < 1 - 1e-10)])
+        assert np.array_equal(one, real[np.r_[True, np.diff(real) > 1e-9]] if real.size else real)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
