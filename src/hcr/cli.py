@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import groupby
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -68,10 +68,6 @@ def _parse_orders(text: str, d: int) -> dict[int, int]:
 def _read_text(path: str) -> str:
     with open(path) as fh:
         return fh.read()
-
-
-def _float_cell(x) -> str:
-    return repr(float(x))
 
 
 def _subset_names(coords, names) -> str:
@@ -169,27 +165,20 @@ def cmd_impute(args) -> int:
     for i, tr in enumerate(transforms):
         if holes[:, i].any():
             cells[holes[:, i], i] = tr.invert(filled[holes[:, i], i])
-    notes_seen = any(note for _, note, _ in extras)
     header = list(data.names)
-    with_weight = args.policy == CLUSTER_SPLIT
-    if with_weight:
+    columns = cells.T.tolist()
+    weights, notes, variances = zip(*extras)
+    if args.policy == CLUSTER_SPLIT:
         header.append("__hcr_weight")
-    if notes_seen:
+        columns.append(weights)
+    if any(notes):
         header.append("__hcr_note")
+        columns.append(notes)
     if args.report:
         header.extend(f"__hcr_var_{nm}" for nm in data.names)
-    rendered = []
-    for row, (weight, note, variances) in zip(cells, extras):
-        line = [None if np.isnan(c) else c for c in row]
-        if with_weight:
-            line.append(weight)
-        if notes_seen:
-            line.append(note)
-        if args.report:
-            line.extend(variances.get(i) for i in range(model.d))
-        rendered.append(line)
-    write_table(args.out if args.out else sys.stdout, header, rendered, args.sep,
-                fmt=_float_cell)
+        columns.extend(map(dict.get, variances, repeat(i)) for i in range(model.d))
+    write_table(args.out if args.out else sys.stdout, header, zip(*columns), args.sep,
+                fmt=repr)
     if failures:
         print(f"warning: {failures} rows left unfilled (nonpositive conditional mass)",
               file=sys.stderr)
@@ -232,10 +221,9 @@ def cmd_density(args) -> int:
     if args.epsilon is not None:
         values = np.maximum(values, args.epsilon)
     name = model.coordinate_names()[i]
-    rows = [(float(x), float(np.asarray(transforms[i].invert(x))), float(v))
-            for x, v in zip(grid, values)]
+    rows = np.column_stack([grid, transforms[i].invert(grid), values])
     write_table(args.out if args.out else sys.stdout, ["x", name, "density"],
-                rows, args.sep, fmt=_float_cell)
+                rows, args.sep, fmt=repr)
     return 0
 
 
@@ -279,7 +267,7 @@ def cmd_transform(args) -> int:
         transforms = [fit_transform(s, data.values[:, i]) for i, s in enumerate(specs)]
         unit = data.transformed(transforms)
         write_table(args.out if args.out else sys.stdout, data.names,
-                    [list(r) for r in unit.values], args.sep, fmt=_float_cell)
+                    unit.values, args.sep, fmt=repr)
         if args.transforms:
             save_transforms(data.names, transforms, args.transforms)
         return 0
@@ -288,7 +276,7 @@ def cmd_transform(args) -> int:
     data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
     back = data.transformed(load_transforms(args.transforms, data.d), invert=True)
     write_table(args.out if args.out else sys.stdout, data.names,
-                [list(r) for r in back.values], args.sep, fmt=_float_cell)
+                back.values, args.sep, fmt=repr)
     return 0
 
 

@@ -8,7 +8,9 @@ squash, empirical CDF, category grid) and back.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, filterfalse, islice, repeat, zip_longest
 
 import numpy as np
 
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "nan", "?"})
+# cells per block that load_table parses at once: bounds its lists of cells
+TABLE_BLOCK = 1 << 14
 
 
 class Dataset:
@@ -63,7 +67,7 @@ class Dataset:
 
     def known(self, k: int) -> tuple[int, ...]:
         """Known-coordinate set of record k, ascending."""
-        return tuple(np.flatnonzero(self.present[k]))
+        return tuple(np.flatnonzero(~np.isnan(self.values[k])))
 
     def presence_counts(self) -> np.ndarray:
         return self.present.sum(axis=0)
@@ -94,64 +98,93 @@ class Dataset:
         return Dataset(out, self.names)
 
 
+def _opened(target, mode: str):
+    """A context for the path target, or target itself if it is a stream."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        return nullcontext(target)
+    return open(target, mode, newline="")
+
+
 def load_table(source, missing_tokens=DEFAULT_MISSING_TOKENS, sep: str = ",") -> Dataset:
     """Read a character-separated table with a header row into a Dataset.
 
     source may be a path or an open text stream.  Cells equal to any
     missing token (after stripping whitespace) become NaN; anything else
-    must parse as a finite float.
+    must parse as a finite Python float.  Blank lines are skipped and not
+    counted; an error names the first malformed row or cell in file order.
     """
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source, delimiter=sep))
-    else:
-        with open(source, newline="") as fh:
-            rows = list(csv.reader(fh, delimiter=sep))
-    rows = [r for r in rows if r]
-    if len(rows) < 2:
+    with _opened(source, "r") as fh:
+        rows = filter(None, csv.reader(fh, delimiter=sep))
+        names = [c.strip() for c in next(rows, ())]
+        tokens, blocks, first = set(missing_tokens), [], 2
+        while block := list(islice(rows, max(1, TABLE_BLOCK // max(len(names), 1)))):
+            blocks.append(_parse_block(block, first, names, tokens))
+            first += len(block)
+    if not blocks:
         raise TableError("table needs a header row and at least one record")
-    names = [c.strip() for c in rows[0]]
+    return Dataset(np.concatenate(blocks), names)
+
+
+def _parse_block(rows, first: int, names, tokens) -> np.ndarray:
+    """The cells of rows numbered from first as an (n, d) array."""
     d = len(names)
-    data = np.empty((len(rows) - 1, d))
-    tokens = set(missing_tokens)
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != d:
-            raise TableError(f"row {r} has {len(row)} cells, expected {d}")
-        for c, cell in enumerate(row):
-            cell = cell.strip()
-            if cell in tokens:
-                data[r - 2, c] = np.nan
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise TableError(f"row {r}, column {names[c]!r}: non-numeric cell {cell!r}") from None
-            if not np.isfinite(value):
-                raise TableError(f"row {r}, column {names[c]!r}: non-finite value {cell!r}")
-            data[r - 2, c] = value
-    return Dataset(data, names)
+    ragged = np.flatnonzero(np.fromiter(map(len, rows), int, len(rows)) != d)
+    cells = list(map(str.strip, chain.from_iterable(rows[:ragged[0]] if ragged.size else rows)))
+    missing = np.fromiter(map(tokens.__contains__, cells), bool, len(cells))
+    parsed = []
+    try:  # on a non-numeric cell, parsed keeps the cells before it
+        parsed.extend(map(float, filterfalse(tokens.__contains__, cells)))
+    except ValueError:
+        pass
+    at = np.flatnonzero(~missing)  # flat position of each non-missing cell
+    bad = np.flatnonzero(~np.isfinite(parsed))
+    if bad.size or len(parsed) < at.size:
+        p = at[bad[0] if bad.size else len(parsed)]
+        r, c = divmod(p, d)
+        what = "non-finite value" if bad.size else "non-numeric cell"
+        raise TableError(f"row {first + r}, column {names[c]!r}: {what} {cells[p]!r}")
+    if ragged.size:
+        r = ragged[0]
+        raise TableError(f"row {first + r} has {len(rows[r])} cells, expected {d}")
+    values = np.full(len(cells), np.nan)
+    values[~missing] = parsed
+    return values.reshape(-1, d)
 
 
 def write_table(path_or_stream, names, rows, sep: str = ",", fmt=lambda x: format(x, ".17g")):
-    """Write rows (sequences of cells) under a header; floats via fmt."""
+    """Write rows (sequences of cells) under a header; floats via fmt.
 
-    def render(cell):
-        if cell is None or (isinstance(cell, float) and np.isnan(cell)):
-            return ""
-        if isinstance(cell, str):
-            return cell
-        return fmt(float(cell))
-
-    def emit(fh):
+    Cells are rendered a column at a time.  A column without str cells
+    goes through one float array, its NaN and None cells written empty;
+    the cells of a column holding text are str as is, empty for None or
+    a float NaN, fmt(float(cell)) otherwise.  Each row keeps its length.
+    """
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
+    lengths = list(map(len, rows))
+    cols = [_render_column(col, fmt) for col in zip_longest(*rows)]
+    lines = zip(*cols) if cols else rows
+    if len(set(lengths)) > 1:
+        lines = map(lambda line, n: line[:n], lines, lengths)
+    with _opened(path_or_stream, "w") as fh:
         writer = csv.writer(fh, delimiter=sep, lineterminator="\n")
         writer.writerow(names)
-        for row in rows:
-            writer.writerow([render(c) for c in row])
+        writer.writerows(lines)
 
-    if hasattr(path_or_stream, "write"):
-        emit(path_or_stream)
-    else:
-        with open(path_or_stream, "w", newline="") as fh:
-            emit(fh)
+
+def _render_column(col, fmt) -> list:
+    if any(map(isinstance, col, repeat(str))):
+        return [_cell_text(c, fmt) for c in col]
+    values = np.asarray(col, dtype=float)
+    text = np.full(values.shape, "", dtype=object)
+    keep = ~np.isnan(values)
+    text[keep] = list(map(fmt, values[keep].tolist()))
+    return text.tolist()
+
+
+def _cell_text(cell, fmt) -> str:
+    if cell is None or (isinstance(cell, float) and np.isnan(cell)):
+        return ""
+    return cell if isinstance(cell, str) else fmt(float(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +310,17 @@ class CategoryGrid:
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        flat_in, flat_out = x.ravel(), out.ravel()
-        for k, value in enumerate(flat_in):
-            hit = [i for i, c in enumerate(self.categories) if abs(value - c) <= 1e-9]
-            if not hit:
-                raise ValueError(f"value {value} is not a declared category")
-            flat_out[k] = self._grid[hit[0]]
+        hit = np.abs(x[..., None] - np.asarray(self.categories)) <= 1e-9
+        known = hit.any(axis=-1)
+        if not known.all():
+            raise ValueError(f"value {x[~known][0]} is not a declared category")
+        out = self._grid[hit.argmax(axis=-1)]  # the first declared match
         return out if x.ndim else float(out)
 
     def invert(self, u):
         u = np.asarray(u, dtype=float)
-        idx = np.rint(u * (self.v - 1)).astype(int)
-        idx = np.clip(idx, 0, self.v - 1)
-        out = np.asarray([self.categories[i] for i in idx.ravel()]).reshape(u.shape)
+        idx = np.clip(np.rint(u * (self.v - 1)).astype(int), 0, self.v - 1)
+        out = np.asarray(self.categories)[idx]
         return out if u.ndim else float(out)
 
     def tokens(self) -> list[str]:
