@@ -165,6 +165,7 @@ def cmd_impute(args) -> int:
     for i, tr in enumerate(transforms):
         if holes[:, i].any():
             cells[holes[:, i], i] = tr.invert(filled[holes[:, i], i])
+    # the output built column by column, handed to write_table as rows
     header = list(data.names)
     columns = cells.T.tolist()
     weights, notes, variances = zip(*extras)

@@ -162,7 +162,7 @@ def write_table(path_or_stream, names, rows, sep: str = ",", fmt=lambda x: forma
     rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     lengths = list(map(len, rows))
     cols = [_render_column(col, fmt) for col in zip_longest(*rows)]
-    lines = zip(*cols) if cols else rows
+    lines = zip(*cols) if cols else rows  # no columns: every row is empty
     if len(set(lengths)) > 1:
         lines = map(lambda line, n: line[:n], lines, lengths)
     with _opened(path_or_stream, "w") as fh:

@@ -39,8 +39,8 @@ def transform_lists(draw, d):
 @st.composite
 def models(draw):
     d = draw(st.integers(1, 4))
-    families = [draw(st.sampled_from([legendre(2), legendre(3), trig(2), discrete(3), discrete(5, 2)]))
-                for _ in range(d)]
+    kinds = st.sampled_from([legendre(2), legendre(3), trig(2), discrete(3), discrete(5, 2)])
+    families = [draw(kinds) for _ in range(d)]
     spec = build_full(d, families, {lvl: draw(st.integers(0, 2)) for lvl in range(1, d + 1)})
     n = len(spec)
     coef = draw(st.lists(FINITE, min_size=n, max_size=n))
