@@ -115,14 +115,25 @@ def load_table(source, missing_tokens=DEFAULT_MISSING_TOKENS, sep: str = ",") ->
     """
     with _opened(source, "r") as fh:
         rows = filter(None, csv.reader(fh, delimiter=sep))
-        names = [c.strip() for c in next(rows, ())]
+        names = [c.strip() for c in next(iter(_take(rows, 1, 1)), ())]
         tokens, blocks, first = set(missing_tokens), [], 2
-        while block := list(islice(rows, max(1, TABLE_BLOCK // max(len(names), 1)))):
+        while block := _take(rows, max(1, TABLE_BLOCK // max(len(names), 1)), first):
             blocks.append(_parse_block(block, first, names, tokens))
             first += len(block)
     if not blocks:
         raise TableError("table needs a header row and at least one record")
     return Dataset(np.concatenate(blocks), names)
+
+
+def _take(rows, n: int, first: int) -> list:
+    """The next n rows, numbered from first; a csv.Error (a cell over the
+    csv module's field size limit, say) becomes a TableError naming its row."""
+    block = []
+    try:
+        block.extend(islice(rows, n))  # keeps the rows read before an error
+    except csv.Error as exc:
+        raise TableError(f"row {first + len(block)}: {exc}") from None
+    return block
 
 
 def _parse_block(rows, first: int, names, tokens) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis1d import Family1D, _moment_table, gauss_nodes
 from .errors import MissingCoordinateError, NonpositiveMassError
-from .estimator import Model, _coordinate_tables
+from .estimator import Model
 from .tensor_basis import support
 
 __all__ = [
@@ -51,7 +51,7 @@ def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
         raise MissingCoordinateError(
             f"point {row} is missing coordinates {np.flatnonzero(missing[row]).tolist()}; "
             "use conditional_slice")
-    tables = list(_coordinate_tables(model.spec, points))
+    tables = [f.eval_all(np.nan_to_num(col)) for f, col in zip(model.spec.families, points.T)]
     # one function at a time: a functions-by-points product would hold
     # |selected| x n values at once
     out = np.full(points.shape[0], model.coef[0])

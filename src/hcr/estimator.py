@@ -20,6 +20,7 @@ __all__ = ["Model", "fit", "adapt", "prune", "lambda_schedule"]
 
 NO_EVIDENCE = "no-evidence"
 UNCERTAINTY_UNDEFINED = "uncertainty-undefined"
+FIT_BLOCK = 1 << 18  # function values (functions x records) that fit holds at once
 
 
 def _aligned(spec: BasisSpec, values, constant, default=None):
@@ -109,17 +110,23 @@ class Model:
                      self.transforms, self.names)
 
 
-def _coordinate_tables(spec: BasisSpec, values: np.ndarray):
-    """Per-coordinate stacks f_j(x_i) with missing cells at a placeholder,
-    yielded one at a time so a caller need not hold them all.
+def _function_values(spec: BasisSpec, values: np.ndarray) -> np.ndarray:
+    """V (functions x records): V[p, r] is selected function p at record r,
+    exactly 0 where r misses a coordinate of p's support.
 
-    Placeholder rows are masked out by the evidence masks before any
-    statistic is taken, so the value it evaluates to never matters; 0 is
-    used because it is valid for every family including discrete grids.
+    Each coordinate's table has its order >= 1 rows zeroed at the missing
+    cells (0 stands in for the cell, valid for every family), and only
+    nonzero-order factors are multiplied into V, in place.
     """
-    for i in range(spec.d):
-        col = values[:, i]
-        yield spec.families[i].eval_all(np.where(np.isnan(col), 0.0, col))
+    orders = spec.orders
+    V = np.ones((len(orders), values.shape[0]))
+    for i, family in enumerate(spec.families):
+        missing = np.isnan(values[:, i])
+        table = family.eval_all(np.where(missing, 0.0, values[:, i]))
+        table[1:, missing] = 0.0
+        for p in np.flatnonzero(orders[:, i]):
+            V[p] *= table[orders[p, i]]
+    return V
 
 
 def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
@@ -130,34 +137,36 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     the coefficient is the sample mean of f there and the uncertainty
     its standard error (ddof=1).  Zero evidence yields coefficient 0
     with a flag rather than an error, keeping large sparse fits total.
+
+    Records are read in blocks of at most FIT_BLOCK function values.  Each
+    block's sums, and its squared deviations from its own means, are merged
+    into the running ones (Chan et al.), so the memory does not grow with
+    the record count and no digits cancel in the uncertainty.
     """
     if data.d != spec.d:
         raise ValueError(f"data has {data.d} coordinates, spec expects {spec.d}")
-    tables = list(_coordinate_tables(spec, data.values))
-    present = data.present
-    coef = np.zeros(len(spec))
-    unc = np.full(len(spec), np.nan)
-    unc[0] = 0.0
-    flags = [""] * len(spec)
-    evidence: dict[tuple[int, ...], int] = {(): data.n}
-    for coords, group in spec.supports().items():
-        mask = present[:, coords].all(axis=1)
-        count = int(mask.sum())
-        evidence[coords] = count
-        for j in group:
-            p = spec.position(j)
-            if count == 0:
-                flags[p] = NO_EVIDENCE
-                continue
-            vals = np.ones(count)
-            for i in coords:
-                vals = vals * tables[i][j[i]][mask]
-            coef[p] = vals.mean()
-            if count == 1:
-                flags[p] = UNCERTAINTY_UNDEFINED
-            else:
-                unc[p] = vals.std(ddof=1) / np.sqrt(count)
-    return Model(spec, coef, evidence, unc, flags, transforms=transforms, names=names)
+    reads = (spec.orders > 0).astype(float)
+    count, coef, m2 = np.zeros((3, len(spec)))
+    step = max(1, FIT_BLOCK // len(spec))
+    for lo in range(0, data.n, step):
+        block = data.values[lo:lo + step]
+        V = _function_values(spec, block)
+        cover = reads @ np.isnan(block).T == 0  # the records knowing each support
+        c = cover.sum(axis=1)
+        mean = np.divide(V.sum(axis=1), c, out=np.zeros_like(coef), where=c > 0)
+        V -= mean[:, None]
+        V *= cover  # deviations where covered, 0 elsewhere
+        share = np.divide(c, count + c, out=np.zeros_like(coef), where=c > 0)
+        delta = mean - coef
+        coef += delta * share
+        m2 += np.einsum("pr,pr->p", V, V) + delta * delta * count * share
+        count += c
+    unc = np.sqrt(np.divide(m2, count * (count - 1), out=np.full_like(m2, np.nan), where=count > 1))
+    flags = np.where(count == 0, NO_EVIDENCE, np.where(count == 1, UNCERTAINTY_UNDEFINED, ""))
+    unc[0], flags[0] = 0.0, ""
+    groups = spec.supports().items()
+    evidence = {(): data.n} | {s: int(count[spec.position(g[0])]) for s, g in groups}
+    return Model(spec, coef, evidence, unc, flags.tolist(), transforms=transforms, names=names)
 
 
 def adapt(model: Model, x, rate: float) -> Model:
@@ -175,11 +184,16 @@ def adapt(model: Model, x, rate: float) -> Model:
     spec = model.spec
     known = ~np.isnan(x)
     cover = ~spec.orders[:, ~known].any(axis=1)
-    tables = {i: spec.families[i].eval_all(x[i]) for i in np.flatnonzero(known)}
+    seen = np.flatnonzero(known).tolist()
+    tables = {}  # one eval_all per family over the coordinates it serves
+    for family in dict.fromkeys(spec.families[i] for i in seen):
+        same = [i for i in seen if spec.families[i] == family]
+        tables.update(zip(same, family.eval_all(x[same]).T))
+    tables = dict(sorted(tables.items()))  # ascending, the order products multiplies in
     coef = model.coef.copy()
     coef[cover] = (1.0 - rate) * coef[cover] + rate * spec.products(tables, cover)
     evidence = dict(model.evidence)
-    known_set = set(np.flatnonzero(known).tolist())
+    known_set = set(seen)
     for coords in [(), *spec.supports()]:
         if known_set.issuperset(coords):
             evidence[coords] = evidence.get(coords, 0) + 1

@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import Dataset
 from .density import evaluate, evaluate_points
 from .errors import NonpositiveMassError, PositivityError
-from .estimator import Model, _coordinate_tables
+from .estimator import Model, _function_values
 from .tensor_basis import MultiIndex
 
 __all__ = [
@@ -70,47 +70,25 @@ class TraceStep:
 
 
 class _Workspace:
-    """Per-record function values grouped by known set.
-
-    Records are sorted (stably) by their known set, so each known set
-    is one contiguous column block [lo, hi) of V; order[k] is the
-    caller's index of sorted record k.  V[p] holds the value of selected
-    function p at every sorted record, with missing slots at a
-    placeholder that is masked away: a block only reads the functions
-    its known set covers.
+    """Per-record function values V (functions x records), 0 where a
+    record misses a function's support, so a record reads only the
+    functions its known set covers; counts holds each function's evidence.
     """
 
     def __init__(self, model: Model, data: Dataset):
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
-        self.n = data.n
-        present = data.present
-        self.order = np.lexsort(present.T[::-1])  # stable: a known set keeps its record order
-        values, present = data.values[self.order], present[self.order]
-        orders = model.spec.orders
-        self.V = np.ones((len(orders), self.n))
-        for i, table in enumerate(_coordinate_tables(model.spec, values)):
-            for p in np.flatnonzero(orders[:, i]):
-                self.V[p] *= table[orders[p, i]]
-        first = np.ones(self.n, dtype=bool)  # first record of its known set
-        first[1:] = (present[1:] != present[:-1]).any(axis=1)
-        starts = np.flatnonzero(first)
-        self.blocks = []  # (lo, hi, cover) per known set
-        self.counts = np.zeros(len(orders))  # evidence per function
-        for lo, hi in zip(starts, [*starts[1:], self.n]):
-            cover = ~orders[:, ~present[lo]].any(axis=1)
-            self.blocks.append((lo, hi, cover))
-            self.counts += (hi - lo) * cover
-        self.usable = present.any(axis=1)  # a fully-missing record supports nothing
-        self.complete_rows = np.flatnonzero(present.all(axis=1))
+        self.V = _function_values(model.spec, data.values)
+        groups = model.spec.supports()  # spec.selected runs through these in this order
+        counts = [data.evidence_count(coords) for coords in [(), *groups]]
+        self.counts = np.repeat(counts, [1, *map(len, groups.values())]).astype(float)
+        self.usable = data.present.any(axis=1)  # a fully-missing record supports nothing
+        self.complete_rows = np.flatnonzero(data.complete_mask())
 
     def densities(self, coef: np.ndarray) -> np.ndarray:
-        """Per-record marginal density over the record's known set, in
-        sorted order (1 for a fully-missing record)."""
-        rho = np.empty(self.n)
-        for lo, hi, cover in self.blocks:
-            rho[lo:hi] = np.where(cover, coef, 0.0) @ self.V[:, lo:hi]
-        return rho
+        """Per-record marginal density over the record's known set (1 for
+        a fully-missing record)."""
+        return coef @ self.V
 
     def loglik(self, rho: np.ndarray) -> float:
         if self.complete_rows.size == 0:
@@ -120,9 +98,7 @@ class _Workspace:
     def gradient_vector(self, rho: np.ndarray) -> np.ndarray:
         """Per function, the mean of f/rho over the records covering it;
         0 for the constant and for functions without evidence."""
-        sums = np.zeros(len(self.counts))
-        for lo, hi, cover in self.blocks:
-            sums += np.where(cover, self.V[:, lo:hi] @ (1.0 / rho[lo:hi]), 0.0)
+        sums = self.V @ (1.0 / rho)
         grad = np.divide(sums, self.counts, out=np.zeros_like(sums), where=self.counts > 0)
         grad[0] = 0.0  # the constant coefficient is fixed
         return grad
@@ -158,17 +134,16 @@ def gradient(model: Model, data: Dataset) -> dict[MultiIndex, float]:
     """
     ws = _Workspace(model, data)
     rho = ws.densities(model.coef)
-    _check_positive(rho, ws)
+    _check_positive(rho)
     vec = ws.gradient_vector(rho)
     return dict(zip(model.spec.selected, vec.tolist()))
 
 
-def _check_positive(rho: np.ndarray, ws: _Workspace, margin: float = 0.0):
-    used = rho[ws.usable]
-    if used.size and np.min(used) <= margin:
-        k = int(ws.order[np.flatnonzero(ws.usable)[int(np.argmin(used))]])
-        raise NonpositiveMassError(
-            f"record {k} has marginal density {np.min(used):.6g}", float(np.min(used)))
+def _check_positive(rho: np.ndarray):
+    # a fully-missing record's density is 1, so a nonpositive one is a usable record's
+    if rho.size and rho.min() <= 0:
+        k = int(np.argmin(rho))
+        raise NonpositiveMassError(f"record {k} has marginal density {rho[k]:.6g}", float(rho[k]))
 
 
 def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, list[TraceStep]]:
@@ -183,9 +158,9 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
     ws = _Workspace(model, data)
     coef = model.coef
     nonconst = model.spec.orders.any(axis=1)
-    all_complete = bool(ws.complete_rows.size == ws.n) and ws.n > 0
+    all_complete = 0 < ws.complete_rows.size == ws.usable.size
     rho = ws.densities(coef)
-    _check_positive(rho, ws)
+    _check_positive(rho)
 
     def objective(c, r):
         f = ws.loglik(r)

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hcr import (NO_EVIDENCE, UNCERTAINTY_UNDEFINED, Dataset, adapt,
-                 build_full, discrete, fit, lambda_schedule, legendre, prune,
-                 support)
+                 build_full, discrete, estimator, fit, lambda_schedule, legendre,
+                 prune, support, trig)
 
 SQ3 = math.sqrt(3.0)
 SQ5 = math.sqrt(5.0)
@@ -306,3 +310,78 @@ def test_model_rejects_non_finite_coefficients_and_allows_nan_uncertainty(bad):
     assert np.isnan(model.uncertainty[(1, 0)])
     with pytest.raises(ValueError, match=r"coefficient of \(0, 1\) is not finite"):
         model.with_coefficients(coef)
+
+
+def _random_fit_case(seed):
+    """Mixed families, d from 1 to 5, random level orders within every
+    family's capacity, and a small table with random missingness: some
+    columns fully missing, some constant, and one fully-missing row, so
+    supports with 0 and 1 records and zero spreads occur."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    families = []
+    for _ in range(d):
+        kind = rng.integers(3)
+        v = int(rng.integers(2, 6))
+        m = int(rng.integers(1, 5))
+        families.append(legendre(m) if kind == 0 else trig(m) if kind == 1
+                        else discrete(v, int(rng.integers(1, v))))
+    cap = min(f.max_order for f in families)
+    spec = build_full(d, families, {lvl: int(rng.integers(0, cap + 1)) for lvl in range(1, d + 1)})
+    n = int(rng.integers(0, 12))
+    x = np.empty((n, d))
+    for i, f in enumerate(families):
+        pool = f.grid if f.is_discrete else np.r_[0.0, 1.0, rng.random(3)]
+        x[:, i] = rng.choice(pool[:1] if rng.random() < 0.2 else pool, size=n)
+        x[rng.random(n) < rng.choice([0.0, 0.3, 0.6, 1.0]), i] = np.nan
+    return spec, np.vstack([x, np.full((1, d), np.nan)])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fit_equals_the_masked_mean(rows, seed):
+    spec, x = _random_fit_case(seed)
+    block = estimator.FIT_BLOCK if rows is None else rows * len(spec)
+    with mock.patch.object(estimator, "FIT_BLOCK", block):
+        m = fit(spec, Dataset(x))
+    want_flags, want_ev = [], {(): len(x)}
+    for p, j in enumerate(spec.selected):
+        known = ~np.isnan(x[:, list(support(j))]).any(axis=1)
+        want_ev[support(j)] = int(known.sum())
+        vals = np.ones(int(known.sum()))
+        for i in support(j):
+            vals = vals * spec.families[i].eval_all(x[known, i])[j[i]]
+        if p == 0:
+            want_flags.append("")
+            assert m.unc[0] == 0.0
+        elif vals.size == 0:
+            want_flags.append(NO_EVIDENCE)
+            assert m.coef[p] == 0.0 and np.isnan(m.unc[p])
+        elif vals.size == 1:
+            want_flags.append(UNCERTAINTY_UNDEFINED)
+            assert abs(m.coef[p] - vals[0]) <= 1e-12 and np.isnan(m.unc[p])
+        else:
+            want_flags.append("")
+            assert abs(m.coef[p] - vals.mean()) <= 1e-12
+            assert abs(m.unc[p] - vals.std(ddof=1) / np.sqrt(vals.size)) <= 1e-12
+    assert list(m.term_flags) == want_flags
+    assert m.evidence == want_ev
+
+
+def _fit_peak_mb(n):
+    rng = np.random.default_rng([7, n])
+    x = rng.beta(2.0, 3.0, size=(n, 6))
+    x[rng.random((n, 6)) < 0.2] = np.nan
+    spec = build_full(6, legendre(4), {1: 4, 2: 2, 3: 1, 4: 0, 5: 0, 6: 0})
+    data = Dataset(x)
+    tracemalloc.start()
+    try:
+        fit(spec, data)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_memory_does_not_grow_with_the_record_count():
+    small, large = _fit_peak_mb(20_000), _fit_peak_mb(80_000)
+    assert large < 1.5 * small, (small, large)

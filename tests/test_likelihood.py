@@ -139,6 +139,16 @@ def test_gradient_rejects_nonpositive_marginal():
         gradient(m, Dataset(np.array([[0.5], [0.2]])))
 
 
+def test_nonpositive_marginal_names_the_callers_record():
+    # records of different known sets interleave; record 3 is the bad one
+    m = make_model(build_full(2, legendre(2), 2), {(2, 0): 0.9})
+    rows = np.array([[nan, 0.3], [0.1, 0.3], [nan, nan], [0.5, nan], [0.9, 0.2]])
+    for call in (lambda: gradient(m, Dataset(rows)),
+                 lambda: refine(m, Dataset(rows), RefineConfig(steps=1, step_size=0.1))):
+        with pytest.raises(NonpositiveMassError, match=r"^record 3 has marginal density -0\.00623"):
+            call()
+
+
 def test_gradient_skips_unsupported_terms():
     spec = build_full(2, legendre(1), 1)
     m = make_model(spec, {})

@@ -187,6 +187,11 @@ MALFORMED = [
     ("x,y\n1,2\n 1e999 ,4\n", "row 3, column 'x': non-finite value '1e999'"),
     ("x,y\n1,2\n1__0,4\n", "row 3, column 'x': non-numeric cell '1__0'"),
     ("x,y\n1\n", "row 2 has 1 cells, expected 2"),
+    # cells over the csv module's field size limit
+    pytest.param("x,y\n1,2\n\n3," + "1" * 200_000 + "\n",
+                 "row 3: field larger than field limit (131072)", id="200000-digit-cell"),
+    pytest.param("x," + "1" * 200_000 + "\n1,2\n",
+                 "row 1: field larger than field limit (131072)", id="200000-digit-header"),
 ]
 
 
