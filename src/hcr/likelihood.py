@@ -79,11 +79,12 @@ class _Workspace:
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
         self.V = _function_values(model.spec, data.values)
+        present = data.present
         groups = model.spec.supports()  # spec.selected runs through these in this order
-        counts = [data.evidence_count(coords) for coords in [(), *groups]]
-        self.counts = np.repeat(counts, [1, *map(len, groups.values())]).astype(float)
-        self.usable = data.present.any(axis=1)  # a fully-missing record supports nothing
-        self.complete_rows = np.flatnonzero(data.complete_mask())
+        counts = [present[:, coords].all(axis=1).sum() for coords in groups]
+        self.counts = np.repeat([data.n, *counts], [1, *map(len, groups.values())])
+        self.usable = present.any(axis=1)  # a fully-missing record supports nothing
+        self.complete_rows = np.flatnonzero(present.all(axis=1))
 
     def densities(self, coef: np.ndarray) -> np.ndarray:
         """Per-record marginal density over the record's known set (1 for
@@ -135,8 +136,7 @@ def gradient(model: Model, data: Dataset) -> dict[MultiIndex, float]:
     ws = _Workspace(model, data)
     rho = ws.densities(model.coef)
     _check_positive(rho)
-    vec = ws.gradient_vector(rho)
-    return dict(zip(model.spec.selected, vec.tolist()))
+    return dict(zip(model.spec.selected, ws.gradient_vector(rho).tolist()))
 
 
 def _check_positive(rho: np.ndarray):
