@@ -126,12 +126,11 @@ def load_table(source, missing_tokens=DEFAULT_MISSING_TOKENS, sep: str = ",") ->
 
 
 def _take(rows, n: int, first: int) -> list:
-    """The next n rows, numbered from first; a csv.Error (a cell over the
-    csv module's field size limit, say) becomes a TableError naming its row."""
+    """The next n rows, numbered from first, with a csv.Error as a TableError."""
     block = []
     try:
         block.extend(islice(rows, n))  # keeps the rows read before an error
-    except csv.Error as exc:
+    except csv.Error as exc:  # a cell over the csv module's field size limit, say
         raise TableError(f"row {first + len(block)}: {exc}") from None
     return block
 

@@ -51,7 +51,8 @@ def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
         raise MissingCoordinateError(
             f"point {row} is missing coordinates {np.flatnonzero(missing[row]).tolist()}; "
             "use conditional_slice")
-    tables = [f.eval_all(np.nan_to_num(col)) for f, col in zip(model.spec.families, points.T)]
+    cells = np.where(np.isnan(points), 0.0, points)  # a NaN cell is read by no function
+    tables = [f.eval_all(col) for f, col in zip(model.spec.families, cells.T)]
     # one function at a time: a functions-by-points product would hold
     # |selected| x n values at once
     out = np.full(points.shape[0], model.coef[0])
