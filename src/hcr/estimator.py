@@ -129,6 +129,13 @@ def _function_values(spec: BasisSpec, values: np.ndarray) -> np.ndarray:
     return V
 
 
+def _covered(spec: BasisSpec, present: np.ndarray) -> np.ndarray:
+    """Functions x records: does the record know all of the function's support?"""
+    groups = spec.supports()  # spec.selected runs through these in this order
+    known = [np.ones(len(present), bool), *(present[:, c].all(axis=1) for c in groups)]
+    return np.repeat(known, [1, *map(len, groups.values())], axis=0)
+
+
 def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
         transforms: list | None = None) -> Model:
     """Average every selected basis function over its evidence records.
@@ -145,13 +152,12 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     """
     if data.d != spec.d:
         raise ValueError(f"data has {data.d} coordinates, spec expects {spec.d}")
-    reads = (spec.orders > 0).astype(float)
     count, coef, m2 = np.zeros((3, len(spec)))
     step = max(1, FIT_BLOCK // len(spec))
     for lo in range(0, data.n, step):
         block = data.values[lo:lo + step]
         V = _function_values(spec, block)
-        cover = reads @ np.isnan(block).T == 0  # the records knowing each support
+        cover = _covered(spec, ~np.isnan(block))
         c = cover.sum(axis=1)
         mean = np.divide(V.sum(axis=1), c, out=np.zeros_like(coef), where=c > 0)
         V -= mean[:, None]

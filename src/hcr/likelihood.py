@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import Dataset
 from .density import evaluate, evaluate_points
 from .errors import NonpositiveMassError, PositivityError
-from .estimator import Model, _function_values
+from .estimator import Model, _covered, _function_values
 from .tensor_basis import MultiIndex
 
 __all__ = [
@@ -78,11 +78,9 @@ class _Workspace:
     def __init__(self, model: Model, data: Dataset):
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
-        self.V = _function_values(model.spec, data.values)
         present = data.present
-        groups = model.spec.supports()  # spec.selected runs through these in this order
-        counts = [present[:, coords].all(axis=1).sum() for coords in groups]
-        self.counts = np.repeat([data.n, *counts], [1, *map(len, groups.values())])
+        self.counts = _covered(model.spec, present).sum(axis=1)  # evidence per function
+        self.V = _function_values(model.spec, data.values)
         self.usable = present.any(axis=1)  # a fully-missing record supports nothing
         self.complete_rows = np.flatnonzero(present.all(axis=1))
 
