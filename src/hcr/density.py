@@ -14,8 +14,7 @@ import numpy as np
 
 from .basis1d import Family1D, _moment_table, gauss_nodes
 from .errors import MissingCoordinateError, NonpositiveMassError
-from .estimator import Model
-from .tensor_basis import support
+from .estimator import Model, _blocks
 
 __all__ = [
     "evaluate",
@@ -41,26 +40,22 @@ MASS_FLOOR = 0.01  # cluster-split slivers below this merge into a neighbor
 
 
 def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
-    """Densities at an (n, d) block of points.  A NaN cell raises
+    """Densities at an (n, d) block of points, coef @ BasisSpec.values
+    over row blocks of FIT_BLOCK function values.  A NaN cell raises
     MissingCoordinateError unless no selected function reads its
     coordinate (as for the coordinates a marginal model dropped)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != model.d:
+        raise ValueError(f"expected points of width {model.d}, got shape {points.shape}")
     missing = np.isnan(points) & model.spec.orders.any(axis=0)
     if missing.any():
         row = int(np.flatnonzero(missing.any(axis=1))[0])
         raise MissingCoordinateError(
             f"point {row} is missing coordinates {np.flatnonzero(missing[row]).tolist()}; "
             "use conditional_slice")
-    cells = np.where(np.isnan(points), 0.0, points)  # a NaN cell is read by no function
-    tables = [f.eval_all(col) for f, col in zip(model.spec.families, cells.T)]
-    # one function at a time: a functions-by-points product would hold
-    # |selected| x n values at once
-    out = np.full(points.shape[0], model.coef[0])
-    for a, j in zip(model.coef[1:], model.spec.selected[1:]):
-        term = np.ones(points.shape[0])
-        for i in support(j):
-            term = term * tables[i][j[i]]
-        out += a * term
+    out = np.empty(len(points))
+    for rows in _blocks(model.spec, len(points)):
+        out[rows] = model.coef @ model.spec.values(points[rows], 0)
     return out
 
 
@@ -374,6 +369,8 @@ def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
         values = {int(k): float(v) for k, v in known.items()}
     else:
         arr = np.asarray(known, dtype=float)
+        if arr.shape != (model.d,):
+            raise ValueError(f"known must be a length-{model.d} point or a mapping")
         values = {k: float(arr[k]) for k in range(arr.size) if not np.isnan(arr[k])}
     if i in values:
         raise ValueError(f"coordinate {i} is already known")
@@ -383,29 +380,10 @@ def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
     point, cell = np.full((1, model.d), np.nan), np.zeros((1, model.d), dtype=bool)
     point[0, list(values)], cell[0, i] = list(values.values()), True
     family = model.spec.families[i]
-    numerator = _numerators(model, _known_products(model, point), [0], np.isnan(point), cell)[0]
+    numerator = _numerators(model, model.spec.values(point, 1), [0], np.isnan(point), cell)[0]
     if numerator[0] <= 0:
         raise _mass_error(i, numerator[0])
     return ConditionalSlice(i, family, numerator[:family.max_order + 1], numerator[0])
-
-
-def _known_products(model: Model, points: np.ndarray) -> np.ndarray:
-    """Every function's product over the known (non-NaN) coordinates of
-    each of an (n, d) block of points, (functions, n), in ascending
-    coordinate order.  eval_all validates the cells, once per family."""
-    missing = np.isnan(points)
-    given = np.where(missing, 0.0, points)
-    used, columns, tables = (~missing.all(axis=0)).tolist(), {}, {}
-    for k, family in enumerate(model.spec.families):
-        if used[k]:
-            columns.setdefault(family, []).append(k)
-    for family, cols in columns.items():
-        # an unknown cell reads 1 in every order, so it leaves the products as they are
-        stack = np.where(missing[:, cols], 1.0, family.eval_all(given[:, cols]))
-        tables.update(zip(cols, stack.transpose(2, 0, 1)))
-    if not tables:
-        return np.ones((len(model.spec), len(points)))
-    return model.spec.products(dict(sorted(tables.items())))
 
 
 def _numerators(model: Model, products: np.ndarray, column, missing: np.ndarray,
@@ -493,7 +471,7 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
         moments[k, :, :family.max_order + 1] = _moment_table(family)
     values = np.array(block, dtype=float)
     opened = np.isnan(values).any(axis=1)
-    products = _known_products(model, np.where(opened[:, None], values, np.nan))
+    products = model.spec.values(np.where(opened[:, None], values, np.nan), 1)
     column = np.arange(len(values))  # a state's products are products[:, column]
     origin, weight = np.arange(len(values)), np.ones(len(values))
     variance, filled = np.full(values.shape, np.nan), np.full(values.shape, -1)
@@ -563,7 +541,8 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
         products, column[rows] = products[:, column[rows]], np.arange(len(rows))
         for i in set(filled[rows, step].tolist()):
             (at,) = np.nonzero(filled[rows, step] == i)
-            products[:, at] *= model.spec.products({i: families[i].eval_all(values[rows[at], i])})
+            alone = np.where(np.arange(model.d) == i, values[rows[at]], np.nan)  # i known only
+            products[:, at] *= model.spec.values(alone, 1)
     weight = (weight / np.bincount(origin, weight, len(block))[origin]).tolist()
     out: list = [[] for _ in range(len(block))]
     for r, (k, order) in enumerate(zip(origin.tolist(), filled.tolist())):

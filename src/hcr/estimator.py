@@ -110,23 +110,11 @@ class Model:
                      self.transforms, self.names)
 
 
-def _function_values(spec: BasisSpec, values: np.ndarray) -> np.ndarray:
-    """V (functions x records): V[p, r] is selected function p at record r,
-    exactly 0 where r misses a coordinate of p's support.
-
-    Each coordinate's table has its order >= 1 rows zeroed at the missing
-    cells (0 stands in for the cell, valid for every family), and only
-    nonzero-order factors are multiplied into V, in place.
-    """
-    orders = spec.orders
-    V = np.ones((len(orders), values.shape[0]))
-    for i, family in enumerate(spec.families):
-        missing = np.isnan(values[:, i])
-        table = family.eval_all(np.where(missing, 0.0, values[:, i]))
-        table[1:, missing] = 0.0
-        for p in np.flatnonzero(orders[:, i]):
-            V[p] *= table[orders[p, i]]
-    return V
+def _blocks(spec: BasisSpec, n: int):
+    """Row slices of n records holding at most FIT_BLOCK function values
+    each (one row at least)."""
+    step = max(1, FIT_BLOCK // len(spec))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _covered(spec: BasisSpec, present: np.ndarray) -> np.ndarray:
@@ -153,10 +141,9 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     if data.d != spec.d:
         raise ValueError(f"data has {data.d} coordinates, spec expects {spec.d}")
     count, coef, m2 = np.zeros((3, len(spec)))
-    step = max(1, FIT_BLOCK // len(spec))
-    for lo in range(0, data.n, step):
-        block = data.values[lo:lo + step]
-        V = _function_values(spec, block)
+    for rows in _blocks(spec, data.n):
+        block = data.values[rows]
+        V = spec.values(block, 0)
         cover = _covered(spec, ~np.isnan(block))
         c = cover.sum(axis=1)
         mean = np.divide(V.sum(axis=1), c, out=np.zeros_like(coef), where=c > 0)
@@ -187,21 +174,14 @@ def adapt(model: Model, x, rate: float) -> Model:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
         raise ValueError(f"expected a length-{model.d} record")
-    spec = model.spec
-    known = ~np.isnan(x)
-    cover = ~spec.orders[:, ~known].any(axis=1)
-    seen = np.flatnonzero(known).tolist()
-    tables = {}  # one eval_all per family over the coordinates it serves
-    for family in dict.fromkeys(spec.families[i] for i in seen):
-        same = [i for i in seen if spec.families[i] == family]
-        tables.update(zip(same, family.eval_all(x[same]).T))
-    tables = dict(sorted(tables.items()))  # ascending, the order products multiplies in
-    coef = model.coef.copy()
-    coef[cover] = (1.0 - rate) * coef[cover] + rate * spec.products(tables, cover)
+    spec, missing = model.spec, np.isnan(x)
+    cover = ~spec.orders[:, missing].any(axis=1)
+    coef = np.where(cover, (1.0 - rate) * model.coef + rate * spec.values(x[None], 0)[:, 0],
+                    model.coef)
     evidence = dict(model.evidence)
-    known_set = set(seen)
+    known = set(np.flatnonzero(~missing).tolist())
     for coords in [(), *spec.supports()]:
-        if known_set.issuperset(coords):
+        if known.issuperset(coords):
             evidence[coords] = evidence.get(coords, 0) + 1
     return model.with_coefficients(coef, evidence)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import Dataset
 from .density import evaluate, evaluate_points
 from .errors import NonpositiveMassError, PositivityError
-from .estimator import Model, _covered, _function_values
+from .estimator import Model, _blocks, _covered
 from .tensor_basis import MultiIndex
 
 __all__ = [
@@ -80,7 +80,9 @@ class _Workspace:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
         present = data.present
         self.counts = _covered(model.spec, present).sum(axis=1)  # evidence per function
-        self.V = _function_values(model.spec, data.values)
+        self.V = np.empty((len(model.spec), data.n))
+        for rows in _blocks(model.spec, data.n):
+            self.V[:, rows] = model.spec.values(data.values[rows], 0)
         self.usable = present.any(axis=1)  # a fully-missing record supports nothing
         self.complete_rows = np.flatnonzero(present.all(axis=1))
 
@@ -213,8 +215,7 @@ def repair_negative(model: Model, witness, strategy: str = RESCALE_ALL,
     rho = evaluate(model, witness)
     if rho >= margin:
         raise ValueError(f"witness density {rho:.6g} already >= margin {margin:.6g}")
-    spec = model.spec
-    terms = spec.products({i: fam.eval_all(witness[i]) for i, fam in enumerate(spec.families)})
+    terms = model.spec.values(witness[None], 0)[:, 0]
     contributions = model.coef * terms  # entry 0 is the constant's 1
     coef = model.coef.copy()
     if strategy == RESCALE_ALL:

@@ -85,6 +85,16 @@ class BasisSpec:
             if s:
                 groups.setdefault(s, []).append(j)
         self._supports = groups
+        self._columns = {f: [k for k, g in enumerate(self.families) if g == f]
+                         for f in self.families}  # each family's coordinates
+        # factor l of each function with more than l factors, as a row of the
+        # table values builds; selected runs by level, so these are a tail
+        self._width = max((f.max_order for f in self.families), default=0) + 1
+        level = (self.orders > 0).sum(axis=1)
+        coords = np.argsort(self.orders == 0, axis=1, kind="stable")  # support, ascending
+        rows = coords * self._width + np.take_along_axis(self.orders, coords, axis=1)
+        starts = np.searchsorted(level, np.arange(1, level.max(initial=0) + 1))
+        self._factors = [(int(s), rows[s:, lvl]) for lvl, s in enumerate(starts)]
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -109,19 +119,34 @@ class BasisSpec:
             counts[lvl] = counts.get(lvl, 0) + 1
         return counts
 
-    def products(self, tables: Mapping[int, np.ndarray], rows=slice(None)) -> np.ndarray:
-        """Per selected function, the product of tables[k][order in k] over
-        the coordinates k in tables.
+    def values(self, points, fill: float) -> np.ndarray:
+        """Every selected function at each row of an (n, d) block of
+        points, (functions, n).
 
-        tables[k] is the stack of all 1-D orders of coordinate k
-        (Family1D.eval_all) at one value, or at n values, shape (orders, n),
-        giving (functions, n); rows picks functions by position or mask.
-        Coordinates left out of tables contribute 1.
+        An order >= 1 factor at a NaN cell reads fill: 0 makes a function
+        whose support misses a cell exactly 0, 1 drops the unknown factor.
+        eval_all runs once per family and validates the known cells; the
+        support factors multiply in ascending coordinate order, so every
+        caller gets the same products.
         """
-        orders = self.orders[rows]
-        out = np.ones(orders.shape[:1] + next((t.shape[1:] for t in tables.values()), ()))
-        for k, table in tables.items():
-            out *= table[orders[:, k]]
+        points = np.asarray(points, dtype=float)
+        missing = np.isnan(points)
+        x = np.where(missing, 0.0, points)  # a NaN cell is evaluated at 0, then filled
+        table = np.empty((self.d, self._width, len(points)))  # coordinate, order, point
+        blank = missing.all(axis=0).tolist()  # a column no point knows reads fill only
+        for family, coords in self._columns.items():
+            cols = [k for k in coords if not blank[k]]
+            if cols:
+                table[cols, :family.max_order + 1] = family.eval_all(x[:, cols]).transpose(2, 0, 1)
+        np.copyto(table[:, 1:], fill, where=missing.T[:, None])
+        table = table.reshape(self.d * self._width, len(points))
+        out = np.empty((len(self), len(points)))
+        out[0] = 1.0  # the constant
+        for lvl, (start, rows) in enumerate(self._factors):
+            if lvl:
+                out[start:] *= table[rows]
+            else:  # every row index is valid, so "clip" only skips numpy's buffering
+                np.take(table, rows, axis=0, out=out[start:], mode="clip")
         return out
 
     def eval_function(self, j: MultiIndex, x: Sequence[float]) -> float:

@@ -391,3 +391,18 @@ def test_evaluate_points_rejects_nan_in_a_read_coordinate():
         evaluate_points(m, [[nan, 0.5], [0.0, 0.5]])
     with pytest.raises(MissingCoordinateError, match=r"point 1 is missing coordinates \[0, 1\]"):
         evaluate_points(m, [[0.5, 0.5], [nan, nan]])
+
+
+def test_evaluate_points_rejects_the_wrong_point_width():
+    m = make_model(build_full(3, legendre(2), 2), {(1, 0, 0): 0.2})
+    for width in (1, 2, 4):
+        with pytest.raises(ValueError, match="width 3"):
+            evaluate_points(m, np.full((5, width), 0.5))
+
+
+def test_conditional_slice_rejects_a_known_point_of_the_wrong_length():
+    m = make_model(build_full(3, legendre(2), 2), {(1, 1, 0): 0.2})
+    for known in ([nan, 0.2], [nan, 0.2, 0.3, 0.4], [[nan, 0.2, 0.3]]):
+        with pytest.raises(ValueError, match="length-3"):
+            conditional_slice(m, known, 0)
+    assert conditional_slice(m, [nan, 0.2, nan], 0).free_coordinate == 0

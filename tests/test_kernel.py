@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import hcr
 from hcr import (BasisSpec, Completion, ConditionalSlice, Dataset, Model,
                  NonpositiveMassError, PositivityError, RefineConfig, adapt, build_full,
                  conditional_slice, discrete, evaluate, find_negative_witness, gradient,
-                 impute, legendre, refine, support, trig)
+                 evaluate_points, impute, legendre, refine, support, trig)
 from hcr.density import _derivative_roots, _extremes, _impute_rows
 from hcr.likelihood import _candidate_points, _halton
 from hcr.tensor_basis import MAX_FUNCTIONS
@@ -223,6 +224,43 @@ def ref_terms(model, values):
 def ref_density(F, coef):
     """Each record's density marginalized to its known set."""
     return np.where(np.isnan(F), 0.0, F) @ coef
+
+
+def ref_known_products(model, values):
+    """G[k, p]: the product of f_p's factors over the support coordinates
+    that record k knows (1 when it knows none of them)."""
+    spec = model.spec
+    return np.array([[math.prod(ref_eval(spec.families[i], j[i], x[i])
+                                for i in support(j) if not np.isnan(x[i]))
+                      for j in spec.selected] for x in values]).reshape(len(values), len(spec))
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(0, 9),
+       missing=st.sampled_from([0.0, 0.3, 0.6, 1.0]), constant_only=st.booleans())
+def test_values_match_the_scalar_products(seed, d, n, missing, constant_only):
+    model, rng = random_model(seed, d)
+    if constant_only:
+        model = Model(BasisSpec(d, model.spec.families, ()), {}, {}, {})
+    values = random_records(rng, model, n, missing) if n else np.empty((0, d))
+    if n and rng.random() < 0.5:
+        values[:, rng.integers(d)] = np.nan  # a fully-missing column
+    F = ref_terms(model, values)
+    zero_filled, known_only = model.spec.values(values, 0), model.spec.values(values, 1)
+    assert zero_filled.shape == known_only.shape == (len(model.spec), n)
+    assert np.allclose(zero_filled, np.where(np.isnan(F), 0.0, F).T, rtol=1e-12, atol=1e-12)
+    assert np.allclose(known_only, ref_known_products(model, values).T, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(0, 16))
+def test_evaluate_points_matches_reference_across_block_edges(rows, seed, d, n):
+    model, rng = random_model(seed, d)
+    families = model.spec.families
+    points = np.array([[random_value(rng, f) for f in families] for _ in range(n)]).reshape(n, d)
+    with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(model.spec)):
+        got = evaluate_points(model, points)
+    want = ref_density(ref_terms(model, points), model.coef)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def ref_gradient(F, rho, usable):
