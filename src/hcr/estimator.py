@@ -7,9 +7,10 @@ term they can support.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -57,19 +58,20 @@ class Model:
     def __init__(self, spec: BasisSpec, coefficients, evidence: Mapping[tuple[int, ...], int],
                  uncertainty, flags=None, transforms: list | None = None,
                  names: tuple[str, ...] | None = None):
-        self.spec = spec
-        self.coef = np.array(_aligned(spec, coefficients, 1.0), dtype=float)
+        self.spec, self.transforms, self.names = spec, transforms, names
+        self._renew(coefficients, evidence)
+        self.unc = np.array(_aligned(spec, uncertainty, 0.0, float("nan")), dtype=float)
+        self.unc.setflags(write=False)
+        self.term_flags = tuple(_aligned(spec, {} if flags is None else flags, "", ""))
+
+    def _renew(self, coefficients, evidence):  # coef and evidence, from copies
+        self.evidence = dict(evidence)
+        self.coef = np.array(_aligned(self.spec, coefficients, 1.0), dtype=float)
         self.coef[0] = 1.0
         if not np.isfinite(self.coef).all():
             bad = int(np.argmin(np.isfinite(self.coef)))
-            raise ValueError(f"coefficient of {spec.selected[bad]} is not finite")
-        self.unc = np.array(_aligned(spec, uncertainty, 0.0, float("nan")), dtype=float)
-        for vec in (self.coef, self.unc):
-            vec.setflags(write=False)
-        self.term_flags = tuple(_aligned(spec, {} if flags is None else flags, "", ""))
-        self.evidence = dict(evidence)
-        self.transforms = transforms
-        self.names = names
+            raise ValueError(f"coefficient of {self.spec.selected[bad]} is not finite")
+        self.coef.setflags(write=False)
 
     @property
     def d(self) -> int:
@@ -93,10 +95,13 @@ class Model:
         return tuple(f"x{i + 1}" for i in range(self.d))
 
     def with_coefficients(self, coefficients, evidence=None) -> "Model":
-        """The same model with new coefficients and, if given, evidence."""
-        return Model(self.spec, coefficients,
-                     self.evidence if evidence is None else evidence,
-                     self.unc, self.term_flags, self.transforms, self.names)
+        """The same model with new coefficients and, if given, evidence;
+        it shares the read-only unc and term_flags."""
+        model = object.__new__(Model)
+        vars(model).update(vars(self))
+        vars(model).pop("coefficients", None)  # the cached view of the old coef
+        model._renew(coefficients, self.evidence if evidence is None else evidence)
+        return model
 
     def restricted(self, rows: np.ndarray) -> "Model":
         """Sub-model of the functions a boolean mask over spec.selected
@@ -115,13 +120,6 @@ def _blocks(spec: BasisSpec, n: int):
     each (one row at least)."""
     step = max(1, FIT_BLOCK // len(spec))
     return (slice(lo, lo + step) for lo in range(0, n, step))
-
-
-def _covered(spec: BasisSpec, present: np.ndarray) -> np.ndarray:
-    """Functions x records: does the record know all of the function's support?"""
-    groups = spec.supports()  # spec.selected runs through these in this order
-    known = [np.ones(len(present), bool), *(present[:, c].all(axis=1) for c in groups)]
-    return np.repeat(known, [1, *map(len, groups.values())], axis=0)
 
 
 def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
@@ -144,7 +142,7 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     for rows in _blocks(spec, data.n):
         block = data.values[rows]
         V = spec.values(block, 0)
-        cover = _covered(spec, ~np.isnan(block))
+        cover = spec.covered(~np.isnan(block))
         c = cover.sum(axis=1)
         mean = np.divide(V.sum(axis=1), c, out=np.zeros_like(coef), where=c > 0)
         V -= mean[:, None]
@@ -157,8 +155,8 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     unc = np.sqrt(np.divide(m2, count * (count - 1), out=np.full_like(m2, np.nan), where=count > 1))
     flags = np.where(count == 0, NO_EVIDENCE, np.where(count == 1, UNCERTAINTY_UNDEFINED, ""))
     unc[0], flags[0] = 0.0, ""
-    groups = spec.supports().items()
-    evidence = {(): data.n} | {s: int(count[spec.position(g[0])]) for s, g in groups}
+    keys, heads = spec.heads
+    evidence = dict(zip(keys, map(int, count[heads].tolist())))
     return Model(spec, coef, evidence, unc, flags.tolist(), transforms=transforms, names=names)
 
 
@@ -174,15 +172,13 @@ def adapt(model: Model, x, rate: float) -> Model:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
         raise ValueError(f"expected a length-{model.d} record")
-    spec, missing = model.spec, np.isnan(x)
-    cover = ~spec.orders[:, missing].any(axis=1)
-    coef = np.where(cover, (1.0 - rate) * model.coef + rate * spec.values(x[None], 0)[:, 0],
-                    model.coef)
+    spec, x = model.spec, x[None]
+    cover = spec.covered(~np.isnan(x))[:, 0]
+    coef = np.where(cover, (1.0 - rate) * model.coef + rate * spec.values(x, 0)[:, 0], model.coef)
     evidence = dict(model.evidence)
-    known = set(np.flatnonzero(~missing).tolist())
-    for coords in [(), *spec.supports()]:
-        if known.issuperset(coords):
-            evidence[coords] = evidence.get(coords, 0) + 1
+    keys, heads = spec.heads
+    for coords in compress(keys, cover[heads].tolist()):
+        evidence[coords] = evidence.get(coords, 0) + 1
     return model.with_coefficients(coef, evidence)
 
 

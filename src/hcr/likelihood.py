@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import Dataset
 from .density import evaluate, evaluate_points
 from .errors import NonpositiveMassError, PositivityError
-from .estimator import Model, _blocks, _covered
+from .estimator import Model, _blocks
 from .tensor_basis import MultiIndex
 
 __all__ = [
@@ -79,7 +79,7 @@ class _Workspace:
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
         present = data.present
-        self.counts = _covered(model.spec, present).sum(axis=1)  # evidence per function
+        self.counts = model.spec.covered(present).sum(axis=1)  # evidence per function
         self.V = np.empty((len(model.spec), data.n))
         for rows in _blocks(model.spec, data.n):
             self.V[:, rows] = model.spec.values(data.values[rows], 0)

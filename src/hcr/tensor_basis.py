@@ -58,8 +58,9 @@ class BasisSpec:
 
     selected is kept in canonical order and always starts with the
     all-zero index; orders is the same set as a read-only int matrix,
-    row p holding the multi-index of selected[p].  Treated as immutable
-    after construction.
+    row p holding the multi-index of selected[p].  heads pairs () and
+    each key of supports() with the row of its first function (0, the
+    constant, for ()).  Treated as immutable after construction.
     """
 
     d: int
@@ -85,6 +86,8 @@ class BasisSpec:
             if s:
                 groups.setdefault(s, []).append(j)
         self._supports = groups
+        self.heads = ((), *groups), np.array([0, *(self._position[g[0]] for g in groups.values())])
+        self._need = np.packbits(self.orders > 0, axis=1).T[:, :, None]  # byte, function, 1
         self._columns = {f: [k for k, g in enumerate(self.families) if g == f]
                          for f in self.families}  # each family's coordinates
         # factor l of each function with more than l factors, as a row of the
@@ -112,6 +115,15 @@ class BasisSpec:
         """
         return self._supports
 
+    def covered(self, present) -> np.ndarray:
+        """Functions x rows of an (n, d) presence mask, true where the row
+        knows the function's whole support; one pass per packed byte of d."""
+        codes = np.packbits(present, axis=1).T  # byte, row
+        cover = np.ones((len(self), len(present)), bool)
+        for code, need in zip(codes, self._need):
+            cover &= (code & need) == need
+        return cover
+
     def level_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
         for j in self.selected:
@@ -129,18 +141,21 @@ class BasisSpec:
         support factors multiply in ascending coordinate order, so every
         caller gets the same products.
         """
-        points = np.asarray(points, dtype=float)
+        points = np.ascontiguousarray(np.asarray(points, dtype=float).T)  # coordinate, point
+        n = points.shape[1]
         missing = np.isnan(points)
-        x = np.where(missing, 0.0, points)  # a NaN cell is evaluated at 0, then filled
-        table = np.empty((self.d, self._width, len(points)))  # coordinate, order, point
-        blank = missing.all(axis=0).tolist()  # a column no point knows reads fill only
+        gaps = missing.any()
+        x = np.where(missing, 0.0, points) if gaps else points  # NaN reads 0, then fill
+        table = np.empty((self.d, self._width, n))  # coordinate, order, point
+        blank = missing.all(axis=1).tolist()  # a column no point knows reads fill only
         for family, coords in self._columns.items():
             cols = [k for k in coords if not blank[k]]
             if cols:
-                table[cols, :family.max_order + 1] = family.eval_all(x[:, cols]).transpose(2, 0, 1)
-        np.copyto(table[:, 1:], fill, where=missing.T[:, None])
-        table = table.reshape(self.d * self._width, len(points))
-        out = np.empty((len(self), len(points)))
+                table[cols, :family.max_order + 1] = family.eval_all(x[cols]).swapaxes(0, 1)
+        if gaps:
+            np.copyto(table[:, 1:], fill, where=missing[:, None])
+        table = table.reshape(self.d * self._width, n)
+        out = np.empty((len(self), n))
         out[0] = 1.0  # the constant
         for lvl, (start, rows) in enumerate(self._factors):
             if lvl:

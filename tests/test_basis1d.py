@@ -125,6 +125,32 @@ def test_discrete_tables_are_orthonormal():
         assert np.all(np.diff(table[1]) > 0)
 
 
+def test_discrete_tables_for_many_values():
+    for v in range(2, 41):
+        table = discrete(v).eval_all(discrete(v).grid)
+        x = np.arange(v) / (v - 1)
+        assert np.all(table[0] == 1.0)
+        assert np.max(np.abs(table @ table.T / v - np.eye(v))) < 1e-12
+        # row j is the degree-j polynomial with a positive leading
+        # coefficient iff x times row j lies in rows j-1..j+1 with a
+        # positive weight on row j+1: the Jacobi matrix is tridiagonal
+        jacobi = table * x @ table.T / v
+        assert np.max(np.abs(np.triu(jacobi, 2))) < 1e-12
+        assert np.all(np.diag(jacobi, 1) > 0)
+
+
+def test_small_discrete_tables_are_plain_gram_schmidt():
+    # up to v = 5 the table is Gram-Schmidt on the monomials, bit for bit
+    for v in range(2, 6):
+        x, w, rows = np.arange(v) / (v - 1), 1.0 / v, []
+        for p in range(v):
+            f = x**p
+            for g in rows:
+                f = f - np.sum(w * f * g) * g
+            rows.append(f / np.sqrt(np.sum(w * f * f)))
+        assert np.array_equal(discrete(v).eval_all(discrete(v).grid), rows)
+
+
 def test_orthonormality_by_quadrature():
     x, w = unit_nodes(48)
     for fam in (legendre(4), trig(4)):

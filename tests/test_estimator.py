@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hcr import (NO_EVIDENCE, UNCERTAINTY_UNDEFINED, Dataset, adapt,
+from hcr import (NO_EVIDENCE, UNCERTAINTY_UNDEFINED, BasisSpec, Dataset, adapt,
                  build_full, discrete, estimator, fit, lambda_schedule, legendre,
                  prune, support, trig)
 
@@ -366,6 +366,35 @@ def test_fit_equals_the_masked_mean(rows, seed):
             assert abs(m.unc[p] - vals.std(ddof=1) / np.sqrt(vals.size)) <= 1e-12
     assert list(m.term_flags) == want_flags
     assert m.evidence == want_ev
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(9, 12), rows=st.sampled_from([1, 3, None]))
+def test_fit_evidence_and_flags_are_exact_past_one_byte(seed, d, rows):
+    # 9 to 12 coordinates pack into two presence bytes
+    rng = np.random.default_rng(seed)
+    selected = set()
+    for _ in range(int(rng.integers(1, 25))):
+        j = np.zeros(d, int)
+        j[rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)] = 1
+        selected.add(tuple(j.tolist()))
+    spec = BasisSpec(d, (legendre(1),) * d, tuple(selected))
+    n = int(rng.integers(0, 30))
+    x = rng.random((n, d))
+    x[rng.random((n, d)) < rng.choice([0.0, 0.1, 0.3])] = np.nan
+    x[:, rng.integers(d)] = np.nan if rng.random() < 0.3 else x[:, 0]
+    x = np.vstack([x, np.full((1, d), np.nan)])
+    block = estimator.FIT_BLOCK if rows is None else rows * len(spec)
+    with mock.patch.object(estimator, "FIT_BLOCK", block):
+        m = fit(spec, Dataset(x))
+    want_ev, want_flags = {}, []
+    for j in spec.selected:
+        count = int((~np.isnan(x[:, list(support(j))])).all(axis=1).sum())
+        want_ev[support(j)] = count
+        want_flags.append(NO_EVIDENCE if count == 0 else UNCERTAINTY_UNDEFINED if count == 1
+                          else "")
+    want_flags[0] = ""
+    assert m.evidence == want_ev
+    assert list(m.term_flags) == want_flags
 
 
 def _fit_peak_mb(n):

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hcr
@@ -133,21 +133,27 @@ def snap(model, point):
     return out
 
 
+# a point's evaluate_points value depends on its block within 1e-12
+# relative, so a scalar minimum that leads by less can lose to a near tie:
+# here the corners (0, 1) and (1, 1) read -4.004147451342197 and
+# ...198 one at a time, and both ...197 in the 4-point block
+@example(seed=1, d=2, used=2, scale=2.0, budget=4)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), used=st.integers(1, 5),
        scale=st.sampled_from([0.0, 0.05, 0.5, 2.0]), budget=st.integers(1, 700))
 def test_witness_matches_scalar_scan(seed, d, used, scale, budget):
     model, _ = random_model(seed, d, scale, used)
-    best_point, best_value = None, 0.0
-    for raw in itertools.islice(_candidate_points(d), budget):
-        point = snap(model, raw)
-        value = evaluate(model, point)
-        if value < best_value:
-            best_point, best_value = point, value
+    points = [snap(model, raw) for raw in itertools.islice(_candidate_points(d), budget)]
+    values = [evaluate(model, point) for point in points]
+    best_value = min(values)
     found = find_negative_witness(model, budget)
-    if best_point is None:
+    if best_value >= 0.0:
         assert found is None
+        return
+    near = [p for p, v in zip(points, values) if v <= best_value * (1 - 1e-12)]
+    if len(near) == 1:  # the scalar minimum leads by more than 1e-12 relative
+        assert np.array_equal(found, near[0])
     else:
-        assert np.array_equal(found, best_point)
+        assert any(np.array_equal(found, p) for p in near)
 
 
 @pytest.mark.parametrize("d", [1, 3, 6, 10])
@@ -249,6 +255,57 @@ def test_values_match_the_scalar_products(seed, d, n, missing, constant_only):
     assert zero_filled.shape == known_only.shape == (len(model.spec), n)
     assert np.allclose(zero_filled, np.where(np.isnan(F), 0.0, F).T, rtol=1e-12, atol=1e-12)
     assert np.allclose(known_only, ref_known_products(model, values).T, rtol=1e-12, atol=1e-12)
+
+
+def random_sparse_spec(seed, d):
+    """Mixed families and up to 30 functions on random supports of any
+    size, so that supports reach every byte of a d-bit presence code."""
+    rng = np.random.default_rng(seed)
+    families = tuple(random_family(rng) for _ in range(d))
+    selected = set()
+    for _ in range(int(rng.integers(0, 31))):
+        j = [0] * d
+        for i in rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False):
+            j[i] = int(rng.integers(1, families[i].max_order + 1))
+        selected.add(tuple(j))
+    return BasisSpec(d, families, tuple(selected)), rng
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 17), n=st.integers(0, 12),
+       missing=st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+def test_cover_matches_the_per_support_reference(seed, d, n, missing):
+    spec, rng = random_sparse_spec(seed, d)
+    present = rng.random((n, d)) >= missing
+    if n and rng.random() < 0.5:
+        present[rng.integers(n)] = False  # a fully-missing row
+    if rng.random() < 0.5:
+        present[:, rng.integers(d)] = False  # a fully-missing column
+    want = [present[:, list(support(j))].all(axis=1) for j in spec.selected]
+    got = spec.covered(present)
+    assert got.dtype == bool and got.shape == (len(spec), n)
+    assert np.array_equal(got, np.array(want).reshape(len(spec), n))
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 17), n=st.integers(1, 8),
+       missing=st.sampled_from([0.0, 0.3, 0.6, 1.0]))
+def test_adapt_evidence_matches_the_superset_reference(seed, d, n, missing):
+    spec, rng = random_sparse_spec(seed, d)
+    model = Model(spec, np.zeros(len(spec)), {(): 3}, {})
+    stream = np.array([[random_value(rng, f) for f in spec.families] for _ in range(n)])
+    stream[rng.random(stream.shape) < missing] = np.nan
+    stream = np.insert(stream, rng.integers(n + 1), np.nan, axis=0)  # an all-missing record
+    want = dict(model.evidence)
+    adapted = model
+    for x in stream:
+        adapted = adapt(adapted, x, 0.1)
+        known = set(np.flatnonzero(~np.isnan(x)).tolist())
+        for coords in [(), *spec.supports()]:
+            if known.issuperset(coords):
+                want[coords] = want.get(coords, 0) + 1
+    assert adapted.evidence == want
+    untouched = [p for p, j in enumerate(spec.selected)
+                 if np.isnan(stream[:, list(support(j))]).any(axis=1).all()]
+    assert np.array_equal(adapted.coef[untouched], model.coef[untouched])
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7])
