@@ -41,20 +41,17 @@ def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _discrete_table(v: int) -> np.ndarray:
     """Orthonormal vectors on the grid {k/(v-1)}, weight 1/v per point.
 
-    Row 0 is exactly 1; row j is Gram-Schmidt on x^j, or twice on x times
-    row j-1 once x^j keeps under 1% of its norm off the earlier rows (its
-    remainder is then mostly rounding): the degree-j polynomial either way.
+    Row 0 is exactly 1; row j is x times row j-1, orthogonalized twice
+    against the earlier rows (the Stieltjes recurrence): the degree-j
+    polynomial with a positive leading coefficient.
     """
     x = np.arange(v) / (v - 1)
     w = 1.0 / v
     rows = [np.ones(v)]
-    for p in range(1, v):
-        for f, passes in ((x**p, 1), (x * rows[-1], 2)):
-            start = np.sum(w * f * f)
-            for g in rows * passes:
-                f = f - np.sum(w * f * g) * g
-            if np.sum(w * f * f) >= 1e-4 * start:
-                break
+    for _ in range(1, v):
+        f = x * rows[-1]
+        for g in rows * 2:
+            f = f - np.sum(w * f * g) * g
         rows.append(f / np.sqrt(np.sum(w * f * f)))
     return np.array(rows)
 

@@ -58,20 +58,19 @@ class Model:
     def __init__(self, spec: BasisSpec, coefficients, evidence: Mapping[tuple[int, ...], int],
                  uncertainty, flags=None, transforms: list | None = None,
                  names: tuple[str, ...] | None = None):
-        self.spec, self.transforms, self.names = spec, transforms, names
-        self._renew(coefficients, evidence)
-        self.unc = np.array(_aligned(spec, uncertainty, 0.0, float("nan")), dtype=float)
-        self.unc.setflags(write=False)
-        self.term_flags = tuple(_aligned(spec, {} if flags is None else flags, "", ""))
-
-    def _renew(self, coefficients, evidence):  # coef and evidence, from copies
-        self.evidence = dict(evidence)
-        self.coef = np.array(_aligned(self.spec, coefficients, 1.0), dtype=float)
+        self.spec = spec
+        self.coef = np.array(_aligned(spec, coefficients, 1.0), dtype=float)
         self.coef[0] = 1.0
         if not np.isfinite(self.coef).all():
             bad = int(np.argmin(np.isfinite(self.coef)))
-            raise ValueError(f"coefficient of {self.spec.selected[bad]} is not finite")
-        self.coef.setflags(write=False)
+            raise ValueError(f"coefficient of {spec.selected[bad]} is not finite")
+        self.unc = np.array(_aligned(spec, uncertainty, 0.0, float("nan")), dtype=float)
+        for vec in (self.coef, self.unc):
+            vec.setflags(write=False)
+        self.term_flags = tuple(_aligned(spec, {} if flags is None else flags, "", ""))
+        self.evidence = dict(evidence)
+        self.transforms = transforms
+        self.names = names
 
     @property
     def d(self) -> int:
@@ -95,13 +94,10 @@ class Model:
         return tuple(f"x{i + 1}" for i in range(self.d))
 
     def with_coefficients(self, coefficients, evidence=None) -> "Model":
-        """The same model with new coefficients and, if given, evidence;
-        it shares the read-only unc and term_flags."""
-        model = object.__new__(Model)
-        vars(model).update(vars(self))
-        vars(model).pop("coefficients", None)  # the cached view of the old coef
-        model._renew(coefficients, self.evidence if evidence is None else evidence)
-        return model
+        """The same model with new coefficients and, if given, evidence."""
+        return Model(self.spec, coefficients,
+                     self.evidence if evidence is None else evidence,
+                     self.unc, self.term_flags, self.transforms, self.names)
 
     def restricted(self, rows: np.ndarray) -> "Model":
         """Sub-model of the functions a boolean mask over spec.selected

@@ -139,18 +139,6 @@ def test_discrete_tables_for_many_values():
         assert np.all(np.diag(jacobi, 1) > 0)
 
 
-def test_small_discrete_tables_are_plain_gram_schmidt():
-    # up to v = 5 the table is Gram-Schmidt on the monomials, bit for bit
-    for v in range(2, 6):
-        x, w, rows = np.arange(v) / (v - 1), 1.0 / v, []
-        for p in range(v):
-            f = x**p
-            for g in rows:
-                f = f - np.sum(w * f * g) * g
-            rows.append(f / np.sqrt(np.sum(w * f * f)))
-        assert np.array_equal(discrete(v).eval_all(discrete(v).grid), rows)
-
-
 def test_orthonormality_by_quadrature():
     x, w = unit_nodes(48)
     for fam in (legendre(4), trig(4)):
