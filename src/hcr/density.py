@@ -188,9 +188,10 @@ def _trig_derivative_roots(coef: np.ndarray) -> np.ndarray:
 
 def _extremes(family: Family1D, coef: np.ndarray) -> tuple[np.ndarray, ...]:
     """Minimum, mode and tie flag of every slice, and the candidates
-    searched with their validity mask: the grid of a discrete coordinate,
-    else 0, the distinct stationary points and 1.  The mode is the
-    smallest candidate within 1e-12 of the maximum."""
+    searched with their validity mask and values: the grid of a discrete
+    coordinate, else 0, the distinct stationary points and 1, so that a
+    continuous slice is monotone between consecutive valid candidates.
+    The mode is the smallest candidate within 1e-12 of the maximum."""
     if family.is_discrete:
         xs = np.broadcast_to(family.grid, (len(coef), family.v))
         distinct = np.ones(xs.shape, dtype=bool)
@@ -204,7 +205,39 @@ def _extremes(family: Family1D, coef: np.ndarray) -> tuple[np.ndarray, ...]:
     winners = distinct & (values >= top[:, None] - 1e-12)  # >=: above 1e4, top - 1e-12 == top
     return (values.min(axis=1, where=distinct, initial=np.inf),
             xs[np.arange(len(xs)), np.argmax(winners, axis=1)], winners.sum(axis=1) > 1,
-            xs, distinct)
+            xs, distinct, values)
+
+
+def _clusters(family: Family1D, coef: np.ndarray, extremes: tuple) -> list[list[Cluster]]:
+    """Clusters of every slice from its _extremes, by mass descending, ties by left end.
+
+    A discrete slice seeds one cluster per grid value.  A continuous one
+    is cut at the ends and at each stationary point whose value is below
+    both neighbouring candidates'; every (row, interval) mass and mean
+    comes from one 48-node Gauss rule.  Slivers then merge by
+    _merge_slivers, row by row.
+    """
+    *_, xs, distinct, values = extremes
+    row, c, v = np.nonzero(distinct)[0], xs[distinct], values[distinct]  # row by row, ascending
+    if family.is_discrete:
+        lo = hi = mean = c
+        mass = v / family.v
+    else:  # a row's candidates are 0, its stationary points, 1
+        cut = np.ones(len(c), dtype=bool)  # the ends, and the points below both neighbours
+        cut[1:-1] = (row[:-2] != row[2:]) | ((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:]))
+        row, c = row[cut], c[cut]
+        same = row[1:] == row[:-1]  # consecutive cuts of one row bound an interval
+        row, lo, hi = row[1:][same], c[:-1][same], c[1:][same]
+        nodes, weights = gauss_nodes(48)
+        x = lo[:, None] + (hi - lo)[:, None] * nodes
+        w = (hi - lo)[:, None] * weights
+        rho = _rowdot(coef[row], family.eval_all(x).transpose(1, 0, 2))
+        mass = np.sum(w * rho, axis=1)
+        mean = np.divide(np.sum(w * x * rho, axis=1), mass, out=(lo + hi) / 2, where=mass != 0)
+    seeds: list[list[Cluster]] = [[] for _ in range(len(coef))]
+    for r, *cluster in zip(*(a.tolist() for a in (row, lo, hi, mean, mass))):
+        seeds[r].append(Cluster(*cluster))
+    return [sorted(_merge_slivers(c), key=lambda c: (-c.mass, c.lo)) for c in seeds]
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +267,8 @@ class ConditionalSlice:
     free coordinate, already multiplied by its fixed-coordinate factors;
     denominator is numerator[0], the restriction to the known set, so the
     normalized slice integrates to 1 by construction.  Its queries are the
-    stacked ones above on a block of one row; the roots and extremes are
-    found once per slice, so treat a slice as read-only.
+    stacked ones above on a block of one row and share one _extremes
+    search per slice, so treat a slice as read-only.
     """
 
     free_coordinate: int
@@ -253,30 +286,6 @@ class ConditionalSlice:
         table = self.family.eval_all(x)
         out = np.tensordot(self.coef, table, axes=(0, 0))
         return out if x.ndim else float(out)
-
-    # -- continuous-slice internals
-
-    def _derivative_roots(self) -> np.ndarray:
-        """Stationary points in (0,1), ascending, deduplicated."""
-        *_, xs, distinct = self._extremes
-        return xs[distinct][1:-1]
-
-    def _interior_minima(self) -> np.ndarray:
-        r = self._derivative_roots()
-        step = np.minimum(np.minimum(1e-4, r / 2), (1 - r) / 2)
-        left, mid, right = self.evaluate(np.concatenate([r - step, r, r + step])).reshape(3, -1)
-        return r[(left > mid) & (right > mid)]
-
-    def _interval_stats(self, lo: float, hi: float) -> tuple[float, float]:
-        """(mass, mean) of the normalized slice restricted to [lo, hi]."""
-        nodes, weights = gauss_nodes(48)
-        x = lo + (hi - lo) * nodes
-        w = (hi - lo) * weights
-        rho = self.evaluate(x)
-        mass = float(np.sum(w * rho))
-        if mass == 0.0:
-            return 0.0, (lo + hi) / 2
-        return mass, float(np.sum(w * x * rho) / mass)
 
     # -- queries
 
@@ -309,24 +318,11 @@ class ConditionalSlice:
 
     def modes_and_clusters(self) -> list[Cluster]:
         """Clusters split at interior density minima, one per grid value
-        for a discrete coordinate.
-
-        Each cluster reports its interval, conditional mean, and mass;
-        slivers below the mass floor merge into the adjacent cluster with
-        the nearer mean.  Output is ordered by mass descending, ties by
-        left endpoint.
-        """
-        if self.family.is_discrete:
-            grid = self.family.grid
-            p = self.evaluate(grid) / self.family.v
-            clusters = [Cluster(g, g, float(g), float(m)) for g, m in zip(grid, p)]
-        else:
-            cuts = [0.0, *self._interior_minima().tolist(), 1.0]
-            clusters = []
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                mass, mean = self._interval_stats(lo, hi)
-                clusters.append(Cluster(lo, hi, mean, mass))
-        return sorted(_merge_slivers(clusters), key=lambda c: (-c.mass, c.lo))
+        for a discrete coordinate, each with its interval, conditional
+        mean and mass; slivers below the mass floor merge into the
+        neighbour with the nearer mean.  Ordered by mass descending, ties
+        by left endpoint."""
+        return _clusters(self.family, self.coef[None], self._extremes)[0]
 
 
 def _merge_slivers(clusters: list[Cluster]) -> list[Cluster]:
@@ -500,11 +496,13 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
             width = families[i].max_order + 1
             slice_coef, states, share = coef[at, :width], rows[point[at]], None
             variance[states, i] = spread[point[at], i]
+            # top-mode and cluster-split read the extremes, expected only the sign
+            extremes = None if policy == EXPECTED else _extremes(families[i], slice_coef)
+            negative = _negative(families[i], slice_coef) if extremes is None else extremes[0] < 0
             if policy == TOP_MODE:
-                minimum, value, tied, *_ = _extremes(families[i], slice_coef)
-                negative = minimum < 0
+                value, tied = extremes[1], extremes[2]
             else:
-                negative, tied = _negative(families[i], slice_coef), np.zeros(len(at), dtype=bool)
+                tied = np.zeros(len(at), dtype=bool)
                 value = np.where(negative, np.where(mean[at] > 0.0, np.minimum(mean[at], 1.0), 0.0),
                                  mean[at])
             for r in states[negative]:
@@ -512,8 +510,7 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
             for r in states[tied]:
                 notes[r] += (f"mode-tie:{names[i]}",)
             if policy == CLUSTER_SPLIT:
-                branches = [ConditionalSlice(i, families[i], n, n[0]).modes_and_clusters()
-                            for n in num[at, :width]]
+                branches = _clusters(families[i], slice_coef, extremes)
                 totals = [sum(c.mass for c in b) for b in branches]
                 count[states] = [len(b) for b in branches]
                 states = np.repeat(states, count[states])

@@ -139,7 +139,7 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
         block = data.values[rows]
         V = spec.values(block, 0)
         cover = spec.covered(~np.isnan(block))
-        c = cover.sum(axis=1)
+        c = cover.sum(axis=1, dtype=np.int32)  # int32: no buffered bool-to-int64 cast
         mean = np.divide(V.sum(axis=1), c, out=np.zeros_like(coef), where=c > 0)
         V -= mean[:, None]
         V *= cover  # deviations where covered, 0 elsewhere

@@ -79,7 +79,8 @@ class _Workspace:
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
         present = data.present
-        self.counts = model.spec.covered(present).sum(axis=1)  # evidence per function
+        # evidence per function; an int32 sum skips the buffered bool-to-int64 cast
+        self.counts = model.spec.covered(present).sum(axis=1, dtype=np.int32)
         self.V = np.empty((len(model.spec), data.n))
         for rows in _blocks(model.spec, data.n):
             self.V[:, rows] = model.spec.values(data.values[rows], 0)
