@@ -17,15 +17,13 @@ from .dataset import (DEFAULT_MISSING_TOKENS, Identity, column_specs,
 from .density import (CLUSTER_SPLIT, EXPECTED, TOP_MODE, _impute_rows, clamp,
                       conditional_slice, evaluate)
 from .errors import HcrError, NonpositiveMassError, PositivityError, TableError
-from .estimator import fit
+from .estimator import _blocks, fit
 from .likelihood import RefineConfig, find_negative_witness, refine
 from .model_io import load_model, load_transforms, save_model, save_transforms
 from .tensor_basis import build_full, support
 
 __all__ = ["main"]
 
-# functions x cells per impute batch: bounds its largest arrays (16 MB each)
-IMPUTE_CHUNK = 1 << 21
 ORDER_LABELS = {1: "trend", 2: "focus/spread", 3: "skew-like", 4: "kurtosis-like"}
 
 
@@ -142,9 +140,9 @@ def cmd_impute(args) -> int:
         raise TableError(f"table has {data.d} coordinates, model expects {model.d}")
     transforms = model.transforms or [Identity() for _ in range(model.d)]
     unit = data.transformed(transforms)
-    results, rows = [], max(1, IMPUTE_CHUNK // (len(model.spec) * model.d))
-    for start in range(0, data.n, rows):
-        results += _impute_rows(model, unit.values[start:start + rows], args.policy)
+    results = []
+    for rows in _blocks(model.spec, data.n):
+        results += _impute_rows(model, unit.values[rows], args.policy)
     # per output row: its input row, unit values, weight, note and variances;
     # a row left unfilled is written as it was read
     source, filled, extras = [], [], []
@@ -388,10 +386,7 @@ def main(argv=None) -> int:
     except (NonpositiveMassError, PositivityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except HcrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (HcrError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

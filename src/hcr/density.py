@@ -537,9 +537,8 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
         (rows,) = np.nonzero(opened)
         products, column[rows] = products[:, column[rows]], np.arange(len(rows))
         for i in set(filled[rows, step].tolist()):
-            (at,) = np.nonzero(filled[rows, step] == i)
-            alone = np.where(np.arange(model.d) == i, values[rows[at]], np.nan)  # i known only
-            products[:, at] *= model.spec.values(alone, 1)
+            (at,) = np.nonzero(filled[rows, step] == i)  # order 0 reads 1: a no-op factor
+            products[:, at] *= families[i].eval_all(values[rows[at], i])[model.spec.orders[:, i]]
     weight = (weight / np.bincount(origin, weight, len(block))[origin]).tolist()
     out: list = [[] for _ in range(len(block))]
     for r, (k, order) in enumerate(zip(origin.tolist(), filled.tolist())):

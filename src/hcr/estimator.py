@@ -21,7 +21,7 @@ __all__ = ["Model", "fit", "adapt", "prune", "lambda_schedule"]
 
 NO_EVIDENCE = "no-evidence"
 UNCERTAINTY_UNDEFINED = "uncertainty-undefined"
-FIT_BLOCK = 1 << 18  # function values (functions x records) that fit holds at once
+FIT_BLOCK = 1 << 18  # function values (functions x rows) a row-blocked loop holds at once
 
 
 def _aligned(spec: BasisSpec, values, constant, default=None):
@@ -103,7 +103,7 @@ class Model:
         """Sub-model of the functions a boolean mask over spec.selected
         keeps (the constant among them), with their supports' evidence."""
         selected = tuple(j for j, k in zip(self.spec.selected, rows) if k)
-        spec = BasisSpec(self.d, self.spec.families, selected, self.spec.level_orders)
+        spec = BasisSpec(self.d, self.spec.families, selected)
         supports = {support(j) for j in selected}
         evidence = {c: n for c, n in self.evidence.items() if c in supports}
         flags = [f for f, k in zip(self.term_flags, rows) if k]
@@ -112,10 +112,10 @@ class Model:
 
 
 def _blocks(spec: BasisSpec, n: int):
-    """Row slices of n records holding at most FIT_BLOCK function values
-    each (one row at least)."""
+    """Row slices of n rows holding at most FIT_BLOCK function values
+    each (one row at least); the last one stops at n."""
     step = max(1, FIT_BLOCK // len(spec))
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,

@@ -36,7 +36,6 @@ RESCALE_ALL = "rescale-all"
 REDUCE_LARGEST = "reduce-largest"
 
 MAX_BACKTRACKS = 60
-WITNESS_BLOCK = 256  # candidates evaluated per evaluate_points call
 
 
 @dataclass(frozen=True)
@@ -276,8 +275,8 @@ def find_negative_witness(model: Model, budget: int = 512):
     candidates = _candidate_points(model.d)
     best_point = None
     best_value = 0.0
-    for done in range(0, budget, WITNESS_BLOCK):
-        block = np.array(list(islice(candidates, min(WITNESS_BLOCK, budget - done))))
+    for rows in _blocks(model.spec, budget):
+        block = np.array(list(islice(candidates, rows.stop - rows.start)))
         for i, fam in enumerate(model.spec.families):
             block[:, i] = fam.snap(block[:, i])
         values = evaluate_points(model, block)

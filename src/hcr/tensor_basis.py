@@ -7,7 +7,7 @@ record with missing cells still contribute evidence to low-order terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from typing import Iterable, Mapping, Sequence
@@ -66,8 +66,6 @@ class BasisSpec:
     d: int
     families: tuple[Family1D, ...]
     selected: tuple[MultiIndex, ...]
-    level_orders: dict[int, int] | None = None
-    _position: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.families) != self.d:
@@ -189,13 +187,20 @@ def _as_families(d: int, families) -> tuple[Family1D, ...]:
     return families
 
 
-def _capacity_check(families: tuple[Family1D, ...], coords: Iterable[int], m: int):
-    for i in coords:
-        if m > families[i].max_order:
-            raise ValueError(
-                f"order {m} exceeds coordinate {i} family capacity "
-                f"({families[i].max_order})"
-            )
+def _expand(d: int, families, pairs: Iterable[tuple[tuple[int, ...], int]]) -> BasisSpec:
+    """The basis of every multi-index with orders 1..m on the coordinates
+    of a (coords, m) pair and 0 elsewhere; each m is checked against its
+    coordinates' families before its functions are listed."""
+    fams = _as_families(d, families)
+    selected: list[MultiIndex] = [(0,) * d]
+    for coords, m in pairs:
+        _check_index(tuple(m if i in coords else 0 for i in range(d)), fams)
+        for orders in product(range(1, m + 1), repeat=len(coords)):
+            j = [0] * d
+            for i, o in zip(coords, orders):
+                j[i] = o
+            selected.append(tuple(j))
+    return BasisSpec(d, fams, tuple(selected))
 
 
 def build_full(d: int, families, level_orders) -> BasisSpec:
@@ -208,30 +213,16 @@ def build_full(d: int, families, level_orders) -> BasisSpec:
     """
     if isinstance(level_orders, int):
         level_orders = {lvl: level_orders for lvl in range(1, d + 1)}
-    else:
-        level_orders = dict(level_orders)
     for lvl in range(1, d + 1):
         if lvl not in level_orders:
             raise ValueError(f"level_orders missing level {lvl}")
-    count = 1 + sum(comb(d, lvl) * level_orders[lvl] ** lvl
-                    for lvl in range(1, d + 1) if level_orders[lvl] > 0)
+    levels = [(lvl, level_orders[lvl]) for lvl in range(1, d + 1) if level_orders[lvl] > 0]
+    count = 1 + sum(comb(d, lvl) * m ** lvl for lvl, m in levels)
     if count > MAX_FUNCTIONS:
         raise ValueError(f"basis would have {count} functions, more than the "
                          f"limit of {MAX_FUNCTIONS}; lower the orders or drop levels")
-    fams = _as_families(d, families)
-    selected: list[MultiIndex] = [(0,) * d]
-    for lvl in range(1, d + 1):
-        m = level_orders[lvl]
-        if m == 0:
-            continue
-        for coords in combinations(range(d), lvl):
-            _capacity_check(fams, coords, m)
-            for orders in product(range(1, m + 1), repeat=lvl):
-                j = [0] * d
-                for i, o in zip(coords, orders):
-                    j[i] = o
-                selected.append(tuple(j))
-    return BasisSpec(d, fams, tuple(selected), level_orders)
+    return _expand(d, families, ((coords, m) for lvl, m in levels
+                                 for coords in combinations(range(d), lvl)))
 
 
 def build_sparse(d: int, families, subsets: Iterable[Iterable[int]], orders) -> BasisSpec:
@@ -240,19 +231,13 @@ def build_sparse(d: int, families, subsets: Iterable[Iterable[int]], orders) -> 
     orders is an int shared by every subset, or a mapping from frozenset
     to the maximal order used inside that subset.
     """
-    fams = _as_families(d, families)
-    selected: list[MultiIndex] = [(0,) * d]
+    pairs = []
     for raw in subsets:
         coords = tuple(sorted(set(raw)))
         if not coords:
             raise ValueError("whitelisted subsets must be nonempty")
         if coords[0] < 0 or coords[-1] >= d:
             raise ValueError(f"subset {coords} out of range for d={d}")
-        m = orders[frozenset(coords)] if isinstance(orders, Mapping) else int(orders)
-        _capacity_check(fams, coords, m)
-        for os in product(range(1, m + 1), repeat=len(coords)):
-            j = [0] * d
-            for i, o in zip(coords, os):
-                j[i] = o
-            selected.append(tuple(j))
-    return BasisSpec(d, fams, tuple(selected))
+        pairs.append((coords, orders[frozenset(coords)] if isinstance(orders, Mapping)
+                      else int(orders)))
+    return _expand(d, families, pairs)

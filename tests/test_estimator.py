@@ -204,6 +204,7 @@ def test_prune_removes_insignificant_terms():
     # uniform data: every coefficient is noise at scale 1/sqrt(n)
     pruned, removed = prune(m, 50.0)
     assert len(pruned.spec.selected) == 1
+    assert pruned.spec == BasisSpec(2, m.spec.families, ((0, 0),))
     assert len(removed) == 8
     for j, a, u in removed:
         assert abs(a) < 50.0 * u

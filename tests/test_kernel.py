@@ -145,15 +145,20 @@ def test_witness_matches_scalar_scan(seed, d, used, scale, budget):
     points = [snap(model, raw) for raw in itertools.islice(_candidate_points(d), budget)]
     values = [evaluate(model, point) for point in points]
     best_value = min(values)
-    found = find_negative_witness(model, budget)
+    found = []
+    for rows in (None, 5):  # 5 rows per block: the scan crosses blocks
+        block = hcr.estimator.FIT_BLOCK if rows is None else rows * len(model.spec)
+        with mock.patch.object(hcr.estimator, "FIT_BLOCK", block):
+            found.append(find_negative_witness(model, budget))
     if best_value >= 0.0:
-        assert found is None
+        assert found == [None, None]
         return
     near = [p for p, v in zip(points, values) if v <= best_value * (1 - 1e-12)]
-    if len(near) == 1:  # the scalar minimum leads by more than 1e-12 relative
-        assert np.array_equal(found, near[0])
-    else:
-        assert any(np.array_equal(found, p) for p in near)
+    for point in found:
+        if len(near) == 1:  # the scalar minimum leads by more than 1e-12 relative
+            assert np.array_equal(point, near[0])
+        else:
+            assert any(np.array_equal(point, p) for p in near)
 
 
 @pytest.mark.parametrize("d", [1, 3, 6, 10])
@@ -794,8 +799,8 @@ def test_cli_impute_output_does_not_depend_on_the_chunk_size(tmp_path, monkeypat
         ",".join("" if np.isnan(c) else repr(float(c)) for c in row) + "\n" for row in block))
     save_model(model, model_path)
     outputs = []
-    for chunk in (cli.IMPUTE_CHUNK, len(model.spec) * model.d * 3, 1):
-        monkeypatch.setattr(cli, "IMPUTE_CHUNK", chunk)
+    for chunk in (hcr.estimator.FIT_BLOCK, len(model.spec) * 3, 1):  # 1: one row per block
+        monkeypatch.setattr(hcr.estimator, "FIT_BLOCK", chunk)
         out = tmp_path / f"filled-{chunk}.csv"
         assert cli.main(["impute", "--model", str(model_path), "--input", str(table),
                          "--out", str(out), "--report", "--policy", policy]) == 0

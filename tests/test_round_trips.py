@@ -60,7 +60,7 @@ def test_model_save_load_save_is_byte_identical(model):
     back = load_model(io.StringIO(first.getvalue()))
     save_model(back, second)
     assert second.getvalue() == first.getvalue()
-    assert back.spec.selected == model.spec.selected
+    assert back.spec == model.spec
     assert back.coef.tobytes() == model.coef.tobytes()
     assert np.array_equal(back.unc, model.unc, equal_nan=True)
     assert back.term_flags == model.term_flags

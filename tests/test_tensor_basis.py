@@ -72,6 +72,8 @@ def test_build_sparse_validation():
         build_sparse(2, legendre(2), [{0, 2}], 1)
     with pytest.raises(ValueError):
         build_sparse(2, discrete(3), [{0, 1}], 3)
+    with pytest.raises(ValueError, match="order 1000000 exceeds"):  # before expanding
+        build_sparse(2, legendre(2), [{0, 1}], 10**6)
 
 
 def test_selected_is_canonical_and_has_constant():
