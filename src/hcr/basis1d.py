@@ -57,9 +57,10 @@ def _discrete_table(v: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _legendre_scale(m: int) -> np.ndarray:
-    """Read-only sqrt(2n+1) for n = 1..m, the unit-norm factors on [0,1]."""
-    scale = np.sqrt(2.0 * np.arange(1, m + 1) + 1.0)
+def _legendre_scale(m: int, ndim: int = 0) -> np.ndarray:
+    """Read-only sqrt(2n+1) for n = 1..m, the unit-norm factors on [0,1],
+    shaped (m, 1, ...) with ndim trailing axes."""
+    scale = np.sqrt(2.0 * np.arange(1, m + 1) + 1.0).reshape((m,) + (1,) * ndim)
     scale.setflags(write=False)
     return scale
 
@@ -107,9 +108,8 @@ class Family1D:
             raise ValueError(f"order {j} outside 0..{self.max_order}")
 
     def _grid_index(self, x: np.ndarray) -> np.ndarray:
-        k = np.rint(x * (self.v - 1)).astype(int)
-        k = np.clip(k, 0, self.v - 1)
-        if np.any(np.abs(x - k / (self.v - 1)) > 1e-9):
+        k = np.minimum(np.maximum(np.rint(x * (self.v - 1)).astype(int), 0), self.v - 1)
+        if (np.abs(x - k / (self.v - 1)) > 1e-9).any():
             raise ValueError(f"value not on the {self.v}-point discrete grid")
         return k
 
@@ -122,28 +122,42 @@ class Family1D:
     def eval_all(self, x) -> np.ndarray:
         """Stack of all orders 0..max_order evaluated at x, shape (m+1, ...).
 
-        Validates the input once, so it is the cheap path for bulk work.
-        Legendre rows follow the three-term recurrence on t = 2x-1,
-        P_n = ((2n-1) t P_{n-1} - (n-1) P_{n-2}) / n, scaled by
-        sqrt(2n+1) for unit norm on [0,1].  NaN passes through.
+        Checks that x lies in [0,1] (on the grid, for a discrete family),
+        then evaluates as _stack does; NaN passes through.  Internal
+        callers whose points lie in [0,1] by construction call _stack.
         """
         arr = np.asarray(x, dtype=float)
         if ((arr < 0.0) | (arr > 1.0)).any():
             raise ValueError("evaluation outside [0,1] is not defined")
+        if self.kind == DISCRETE:
+            return _discrete_table(self.v)[:self.max_order + 1, self._grid_index(arr)]
+        return self._stack(arr)
+
+    def _stack(self, arr: np.ndarray) -> np.ndarray:
+        """eval_all of a float array in [0,1], unchecked, each row computed
+        in place.  Legendre rows follow the three-term recurrence on
+        t = 2x-1, P_n = ((2n-1) t P_{n-1} - (n-1) P_{n-2}) / n, scaled by
+        sqrt(2n+1) for unit norm on [0,1]."""
         m = self.max_order
         if self.kind == DISCRETE:
-            return _discrete_table(self.v)[:m + 1, self._grid_index(arr)]
+            return _discrete_table(self.v)[:m + 1, np.rint(arr * (self.v - 1)).astype(int)]
         out = np.empty((m + 1,) + arr.shape)
         out[0] = 1.0
         if self.kind == LEGENDRE:
-            t = 2 * arr - 1
-            for n in range(1, m + 1):  # unscaled P_n
-                out[n] = t if n == 1 else ((2 * n - 1) * t * out[n - 1] - (n - 1) * out[n - 2]) / n
-            out[1:] *= _legendre_scale(m).reshape((m,) + (1,) * arr.ndim)
+            if m:
+                t = np.multiply(arr, 2, out=out[1, ...])
+                t -= 1
+            for n in range(2, m + 1):  # unscaled P_n
+                p = np.multiply(t, 2 * n - 1, out=out[n, ...])
+                p *= out[n - 1]
+                p -= (n - 1) * out[n - 2]
+                p /= n
+            out[1:] *= _legendre_scale(m, arr.ndim)
         else:
             for j in range(1, m + 1):
-                wave = np.sin if j % 2 == 1 else np.cos
-                out[j] = _SQ2 * wave(2 * np.pi * ((j + 1) // 2) * arr)
+                p = np.multiply(arr, 2 * np.pi * ((j + 1) // 2), out=out[j, ...])
+                (np.sin if j % 2 == 1 else np.cos)(p, out=p)
+                p *= _SQ2
         return out
 
     def _measure(self) -> tuple[np.ndarray, np.ndarray]:

@@ -205,6 +205,8 @@ def cmd_density(args) -> int:
             raw = float(p)
         except ValueError:
             raise _UsageError(f"coordinate {i + 1}: {p!r} is not a number") from None
+        if not np.isfinite(raw):
+            raise _UsageError(f"coordinate {i + 1}: {p!r} is not a finite number")
         point[i] = float(np.asarray(transforms[i].apply(raw)))
     if not free:
         rho = evaluate(model, point)

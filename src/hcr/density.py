@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .basis1d import Family1D, _moment_table, gauss_nodes
+from .basis1d import Family1D, _legendre_scale, _moment_table, gauss_nodes
 from .errors import MissingCoordinateError, NonpositiveMassError
 from .estimator import Model, _blocks
 
@@ -127,26 +127,37 @@ def _moments(coef: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return mean, _rowdot(coef, table[..., 2, :, None])[:, 0] - mean * mean
 
 
+@lru_cache(maxsize=None)
+def _companion(deg: int, legendre: bool) -> tuple:
+    """Read-only degree-deg companion skeleton, legcompanion's or (complex)
+    polycompanion's, and legcompanion's last-column factors."""
+    k, scl = np.arange(deg - 1), 1.0 / np.sqrt(2 * np.arange(deg) + 1)
+    mat = np.zeros((deg, deg), dtype=float if legendre else complex)
+    if legendre:
+        mat[k, k + 1] = mat[k + 1, k] = np.arange(1, deg) * scl[:-1] * scl[1:]
+    else:
+        mat[k + 1, k] = 1
+    mat.setflags(write=False)
+    return mat, scl / scl[-1], deg / (2 * deg - 1)
+
+
 def _companion_roots(c: np.ndarray, legendre: bool) -> np.ndarray:
     """Roots of every row of a (rows, n+1) block of Legendre or power series,
     (rows, n), NaN where trailing zeros lower a row's degree: legroots or
     polyroots of numpy.polynomial, one eigvals call per degree.  (A power
     companion for a Legendre series moves a near-double root by sqrt(eps).)"""
-    n = c.shape[1] - 1
+    n = max(c.shape[1] - 1, 0)  # an empty series is the zero series
     out = np.full((len(c), n), np.nan, dtype=complex)
-    nonzero = c != 0
-    degree = np.where(nonzero.any(axis=1), n - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    degree = ((c != 0) * np.arange(n + 1)).max(axis=1, initial=0)  # its highest nonzero order
     for deg in set(degree.tolist()) - {0}:  # degree 1 gives [[-c0 / c1]], as numpy does
         rows = degree == deg
-        top, k = c[rows, :deg + 1], np.arange(deg - 1)
-        mat = np.zeros((len(top), deg, deg), dtype=c.dtype)
-        if legendre:  # legcompanion, rotated as legroots rotates it
-            scl = 1.0 / np.sqrt(2 * np.arange(deg) + 1)
-            mat[:, k, k + 1] = mat[:, k + 1, k] = np.arange(1, deg) * scl[:-1] * scl[1:]
-            mat[:, :, -1] -= (top[:, :-1] / top[:, -1:]) * (scl / scl[-1]) * (deg / (2 * deg - 1))
+        (skeleton, scale, ratio), top = _companion(deg, legendre), c[rows, :deg + 1]
+        mat = skeleton[None].repeat(len(top), axis=0)
+        if legendre:  # legcompanion, rotated as legroots rotates it; scale * ratio
+            # taken first would move last bits, so the products keep numpy's order
+            mat[:, :, -1] -= (top[:, :-1] / top[:, -1:]) * scale * ratio
             mat = mat[:, ::-1, ::-1]
         else:  # polycompanion
-            mat[:, k + 1, k] = 1
             mat[:, :, -1] -= top[:, :-1] / top[:, -1:]
         out[rows, :deg] = np.linalg.eigvals(mat)
     return out
@@ -157,14 +168,18 @@ def _derivative_roots(family: Family1D, coef: np.ndarray) -> tuple[np.ndarray, n
     distinct), both (rows, n).  A row's distinct roots ascend, one per run
     closer than 1e-9; the other entries are 2."""
     if family.kind == "legendre":
-        # Legendre(coef * sqrt(2j+1), domain=[0, 1]).deriv().roots(), per row
-        scale = np.sqrt(2 * np.arange(coef.shape[1]) + 1)
-        z = 0.5 + 0.5 * _companion_roots(
-            np.polynomial.legendre.legder(coef * scale, scl=2, axis=1), True)
+        # Legendre(coef * sqrt(2j+1), domain=[0, 1]).deriv().roots(), per row:
+        # legder's sums, which never read order 0, times 2j - 1 at order j - 1
+        n = coef.shape[1] - 1
+        c = 2 * (coef[:, 1:] * _legendre_scale(n))  # c[:, j - 1] holds order j
+        for j in range(n, 2, -1):
+            c[:, j - 3] += c[:, j - 1]
+        z = 0.5 + 0.5 * _companion_roots(c * (2 * np.arange(1, n + 1) - 1), True)
         real = np.where(np.abs(z.imag) < 1e-9, z.real, np.nan)
     else:
         real = _trig_derivative_roots(coef)
-    roots = np.sort(np.where((real > 1e-10) & (real < 1 - 1e-10), real, 2.0), axis=1)
+    roots = np.where((real > 1e-10) & (real < 1 - 1e-10), real, 2.0)
+    roots.sort(axis=1)
     distinct = roots < 2.0
     distinct[:, 1:] &= roots[:, 1:] - roots[:, :-1] > 1e-9
     return roots, distinct
@@ -197,14 +212,14 @@ def _extremes(family: Family1D, coef: np.ndarray) -> tuple[np.ndarray, ...]:
         distinct = np.ones(xs.shape, dtype=bool)
     else:
         roots, inner = _derivative_roots(family, coef)
-        end = np.ones((len(coef), 1), dtype=bool)
-        xs = np.concatenate([0.0 * end, np.where(inner, roots, 0.0), 1.0 * end], axis=1)
-        distinct = np.concatenate([end, inner, end], axis=1)
-    values = _rowdot(coef, family.eval_all(xs).transpose(1, 0, 2))
+        end = np.ones((len(coef), 1))
+        xs = np.concatenate([0.0 * end, roots, end], axis=1)  # the entries not distinct stay 2
+        distinct = np.concatenate([end > 0, inner, end > 0], axis=1)
+    values = _rowdot(coef, family._stack(xs).transpose(1, 0, 2))
     top = values.max(axis=1, where=distinct, initial=-np.inf)
     winners = distinct & (values >= top[:, None] - 1e-12)  # >=: above 1e4, top - 1e-12 == top
     return (values.min(axis=1, where=distinct, initial=np.inf),
-            xs[np.arange(len(xs)), np.argmax(winners, axis=1)], winners.sum(axis=1) > 1,
+            xs[np.arange(len(xs)), winners.argmax(axis=1)], winners.sum(axis=1) > 1,
             xs, distinct, values)
 
 
@@ -218,7 +233,7 @@ def _clusters(family: Family1D, coef: np.ndarray, extremes: tuple) -> list[list[
     _merge_slivers, row by row.
     """
     *_, xs, distinct, values = extremes
-    row, c, v = np.nonzero(distinct)[0], xs[distinct], values[distinct]  # row by row, ascending
+    row, c, v = distinct.nonzero()[0], xs[distinct], values[distinct]  # row by row, ascending
     if family.is_discrete:
         lo = hi = mean = c
         mass = v / family.v
@@ -229,11 +244,12 @@ def _clusters(family: Family1D, coef: np.ndarray, extremes: tuple) -> list[list[
         same = row[1:] == row[:-1]  # consecutive cuts of one row bound an interval
         row, lo, hi = row[1:][same], c[:-1][same], c[1:][same]
         nodes, weights = gauss_nodes(48)
-        x = lo[:, None] + (hi - lo)[:, None] * nodes
-        w = (hi - lo)[:, None] * weights
-        rho = _rowdot(coef[row], family.eval_all(x).transpose(1, 0, 2))
-        mass = np.sum(w * rho, axis=1)
-        mean = np.divide(np.sum(w * x * rho, axis=1), mass, out=(lo + hi) / 2, where=mass != 0)
+        span = (hi - lo)[:, None]
+        x = lo[:, None] + span * nodes
+        w = span * weights
+        rho = _rowdot(coef[row], family._stack(x).transpose(1, 0, 2))
+        mass = (w * rho).sum(axis=1)
+        mean = np.divide((w * x * rho).sum(axis=1), mass, out=(lo + hi) / 2, where=mass != 0)
     seeds: list[list[Cluster]] = [[] for _ in range(len(coef))]
     for r, *cluster in zip(*(a.tolist() for a in (row, lo, hi, mean, mass))):
         seeds[r].append(Cluster(*cluster))
@@ -385,28 +401,24 @@ def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
 def _numerators(model: Model, products: np.ndarray, column, missing: np.ndarray,
                 cells: np.ndarray) -> np.ndarray:
     """Slice numerators of the cells (point p, coordinate i) marked in
-    cells, in np.nonzero order, (cells, orders of the widest family).
-    products[:, column[p]] holds every function's product over point p's
-    known coordinates, and missing (n, d) marks the rest.  A numerator
-    sums, in spec order, the functions that touch no unknown coordinate
-    but i."""
-    orders = model.spec.orders
-    touch = orders > 0
-    point, coord = np.nonzero(cells)
+    cells, in np.nonzero order, (cells, spec.width).  products[:, column[p]]
+    holds every function's product over point p's known coordinates, and
+    missing (n, d) marks the rest.  A numerator sums, in spec order, the
+    functions that touch no unknown coordinate but i: one bincount per run
+    of cells, _blocks' runs at four entries per (function, cell) pair."""
+    spec = model.spec
+    point, coord = cells.nonzero()
     source = np.asarray(column)[point]  # each cell's products column
-    hits = touch @ missing.T.astype(np.int16)  # unknown coordinates each function touches
-    width = max(family.max_order for family in model.spec.families) + 1
-    out = np.zeros((len(point), width))
-    for i in set(coord.tolist()):  # one coordinate at a time bounds the temporaries
-        (at,) = np.nonzero(coord == i)
+    hits = spec.touch @ missing.T.astype(np.int16)  # unknown coordinates each function touches
+    out = np.empty((len(point), spec.width))
+    for run in _blocks(spec, len(point), 4):
         # a function counts when i is the only unknown coordinate it touches, if any;
         # bincount adds in input order: functions outer, cells inner
-        f, c = np.nonzero(hits[:, point[at]] == touch[:, i, None])
-        weights = products[f, source[at][c]]
-        weights *= model.coef[f]
-        c *= width  # in place, to hold few arrays of this size at once
-        c += orders[f, i]
-        out[at] = np.bincount(c, weights, len(at) * width).reshape(-1, width)
+        counts = hits[:, point[run]] == spec.touch[:, coord[run]]
+        weights = (products[:, source[run]] * model.coef[:, None])[counts]
+        first = np.arange(run.stop - run.start) * spec.width  # each cell's first bin
+        out[run] = np.bincount((spec.orders[:, coord[run]] + first)[counts], weights,
+                               len(first) * spec.width).reshape(-1, spec.width)
     return out
 
 
@@ -457,59 +469,55 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
     one cell of every open state.  A state carries every function's
     product over its known coordinates, multiplied in the order they
     became known (as given, then as filled), so a step's slices are one
-    bincount per missing coordinate over all states.
+    bincount per run of missing cells over all states.
     """
     if policy not in (EXPECTED, TOP_MODE, CLUSTER_SPLIT):
         raise ValueError(f"unknown policy {policy!r}")
-    families, names = model.spec.families, model.coordinate_names()
-    moments = np.zeros((model.d, 3, max(f.max_order for f in families) + 1))
-    for k, family in enumerate(families):
-        moments[k, :, :family.max_order + 1] = _moment_table(family)
+    spec, families, names = model.spec, model.spec.families, model.coordinate_names()
     values = np.array(block, dtype=float)
     opened = np.isnan(values).any(axis=1)
-    products = model.spec.values(np.where(opened[:, None], values, np.nan), 1)
+    products = spec.values(np.where(opened[:, None], values, np.nan), 1)
     column = np.arange(len(values))  # a state's products are products[:, column]
     origin, weight = np.arange(len(values)), np.ones(len(values))
     variance, filled = np.full(values.shape, np.nan), np.full(values.shape, -1)
     notes, errors = [()] * len(values), {}
+    rows = opened.nonzero()[0]  # the open states
     for step in range(model.d):  # filled[r, step]: the coordinate that step filled
-        (rows,) = np.nonzero(opened)
         missing = np.isnan(values[rows])
-        point, coord = np.nonzero(missing)
+        point, coord = missing.nonzero()
         num = _numerators(model, products, column[rows], missing, missing)
-        coef = np.divide(num, num[:, :1], out=np.zeros(num.shape), where=num[:, :1] > 0)
-        mean, var = _moments(coef, moments[coord])
-        spread, mass = np.full(missing.shape, np.inf), np.empty(len(rows))
-        spread[point, coord] = np.where(0.0 > var, 0.0, var)
-        mass[point] = num[:, 0]  # the same for every slice of a state
-        for r in np.flatnonzero(mass <= 0):  # the first failing state's lowest missing slice
-            errors.setdefault(int(origin[rows[r]]),
-                              _mass_error(int(np.argmax(missing[r])), mass[r]))
+        mass = num[:, 0]  # the same for every slice of a state
+        coef = num / np.where(mass > 0, mass, np.inf)[:, None]  # a failing state's goes unread
+        mean, var = _moments(coef, spec.moments[coord])
+        spread = np.full(missing.shape, np.inf)
+        spread[point, coord] = var = np.where(0.0 > var, 0.0, var)
+        for k in (mass <= 0).nonzero()[0]:  # a failing state's first cell is its lowest slice
+            errors.setdefault(int(origin[rows[point[k]]]), _mass_error(int(coord[k]), mass[k]))
         count = np.ones(len(values), dtype=int)  # the states each state becomes
-        if errors:
+        target = spread.argmin(axis=1)  # fill the least variance, ties to the lower coordinate
+        if errors:  # a failed row's states fill nothing
             count[np.isin(origin, list(errors))] = 0
-        # fill the missing coordinate of least variance, ties to the lower
-        target = np.where(count[rows] > 0, np.argmin(spread, axis=1), -1)
+            target[count[rows] == 0] = -1
+        cells = (target[point] == coord).nonzero()[0]  # the target cell of each filling state
         fills = []  # (coordinate, states, values, branch shares)
-        for i in set(target.tolist()) - {-1}:
-            (at,) = np.nonzero((coord == i) & (target[point] == i))
-            width = families[i].max_order + 1
-            slice_coef, states, share = coef[at, :width], rows[point[at]], None
-            variance[states, i] = spread[point[at], i]
+        for i in set(coord[cells].tolist()):
+            at = cells[coord[cells] == i]
+            slice_coef = coef[at, :families[i].max_order + 1]
+            states, value, share = rows[point[at]], mean[at], None
+            variance[states, i] = var[at]
             # top-mode and cluster-split read the extremes, expected only the sign
             extremes = None if policy == EXPECTED else _extremes(families[i], slice_coef)
             negative = _negative(families[i], slice_coef) if extremes is None else extremes[0] < 0
-            if policy == TOP_MODE:
-                value, tied = extremes[1], extremes[2]
-            else:
-                tied = np.zeros(len(at), dtype=bool)
-                value = np.where(negative, np.where(mean[at] > 0.0, np.minimum(mean[at], 1.0), 0.0),
-                                 mean[at])
             for r in states[negative]:
                 notes[r] += (f"negative-region:{names[i]}",)
-            for r in states[tied]:
-                notes[r] += (f"mode-tie:{names[i]}",)
-            if policy == CLUSTER_SPLIT:
+            if policy == EXPECTED:  # a negative slice's signed mean, clipped
+                value = np.where(negative, np.where(value > 0.0, np.minimum(value, 1.0), 0.0),
+                                 value)
+            elif policy == TOP_MODE:
+                value = extremes[1]
+                for r in states[extremes[2]]:
+                    notes[r] += (f"mode-tie:{names[i]}",)
+            else:
                 branches = _clusters(families[i], slice_coef, extremes)
                 totals = [sum(c.mass for c in b) for b in branches]
                 count[states] = [len(b) for b in branches]
@@ -530,15 +538,15 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
             filled[states, step] = i
             if share is not None:
                 weight[states] *= share
-        opened = np.isnan(values).any(axis=1)
-        if not opened.any():
+        rows = np.isnan(values).any(axis=1).nonzero()[0]
+        if not len(rows):
             break
         # the products of the states still open, times the cell each just filled
-        (rows,) = np.nonzero(opened)
         products, column[rows] = products[:, column[rows]], np.arange(len(rows))
-        for i in set(filled[rows, step].tolist()):
-            (at,) = np.nonzero(filled[rows, step] == i)  # order 0 reads 1: a no-op factor
-            products[:, at] *= families[i].eval_all(values[rows[at], i])[model.spec.orders[:, i]]
+        last = filled[rows, step]
+        for i in set(last.tolist()):
+            at = (last == i).nonzero()[0]  # order 0 reads 1: a no-op factor
+            products[:, at] *= families[i]._stack(values[rows[at], i])[spec.orders[:, i]]
     weight = (weight / np.bincount(origin, weight, len(block))[origin]).tolist()
     out: list = [[] for _ in range(len(block))]
     for r, (k, order) in enumerate(zip(origin.tolist(), filled.tolist())):

@@ -111,10 +111,10 @@ class Model:
                      self.transforms, self.names)
 
 
-def _blocks(spec: BasisSpec, n: int):
-    """Row slices of n rows holding at most FIT_BLOCK function values
-    each (one row at least); the last one stops at n."""
-    step = max(1, FIT_BLOCK // len(spec))
+def _blocks(spec: BasisSpec, n: int, per_value: int = 1):
+    """Row slices of n rows, at most FIT_BLOCK // per_value function
+    values each (one row at least); the last one stops at n."""
+    step = max(1, FIT_BLOCK // (per_value * len(spec)))
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 

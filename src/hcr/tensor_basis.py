@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .basis1d import Family1D
+from .basis1d import Family1D, _moment_table
 from .errors import MissingCoordinateError
 
 __all__ = [
@@ -58,9 +58,11 @@ class BasisSpec:
 
     selected is kept in canonical order and always starts with the
     all-zero index; orders is the same set as a read-only int matrix,
-    row p holding the multi-index of selected[p].  heads pairs () and
-    each key of supports() with the row of its first function (0, the
-    constant, for ()).  Treated as immutable after construction.
+    row p holding the multi-index of selected[p], and touch is orders > 0.
+    width is the highest family order plus one, and moments stacks each
+    coordinate's _moment_table, zero-padded to (d, 3, width).  heads pairs
+    () and each key of supports() with the row of its first function (0,
+    the constant, for ()).  Treated as immutable after construction.
     """
 
     d: int
@@ -77,7 +79,13 @@ class BasisSpec:
             _check_index(j, self.families)
         self._position = {j: k for k, j in enumerate(self.selected)}
         self.orders = np.array(self.selected, dtype=np.intp).reshape(len(self.selected), self.d)
-        self.orders.setflags(write=False)
+        self.touch = self.orders > 0
+        self.width = max((f.max_order for f in self.families), default=0) + 1
+        self.moments = np.zeros((self.d, 3, self.width))
+        for k, f in enumerate(self.families):
+            self.moments[k, :, :f.max_order + 1] = _moment_table(f)
+        for a in (self.orders, self.touch, self.moments):
+            a.setflags(write=False)
         groups: dict[tuple[int, ...], list[MultiIndex]] = {}
         for j in self.selected:
             s = support(j)
@@ -85,15 +93,14 @@ class BasisSpec:
                 groups.setdefault(s, []).append(j)
         self._supports = groups
         self.heads = ((), *groups), np.array([0, *(self._position[g[0]] for g in groups.values())])
-        self._need = np.packbits(self.orders > 0, axis=1).T[:, :, None]  # byte, function, 1
+        self._need = np.packbits(self.touch, axis=1).T[:, :, None]  # byte, function, 1
         self._columns = {f: [k for k, g in enumerate(self.families) if g == f]
                          for f in self.families}  # each family's coordinates
         # factor l of each function with more than l factors, as a row of the
         # table values builds; selected runs by level, so these are a tail
-        self._width = max((f.max_order for f in self.families), default=0) + 1
-        level = (self.orders > 0).sum(axis=1)
+        level = self.touch.sum(axis=1)
         coords = np.argsort(self.orders == 0, axis=1, kind="stable")  # support, ascending
-        rows = coords * self._width + np.take_along_axis(self.orders, coords, axis=1)
+        rows = coords * self.width + np.take_along_axis(self.orders, coords, axis=1)
         starts = np.searchsorted(level, np.arange(1, level.max(initial=0) + 1))
         self._factors = [(int(s), rows[s:, lvl]) for lvl, s in enumerate(starts)]
 
@@ -144,22 +151,19 @@ class BasisSpec:
         missing = np.isnan(points)
         gaps = missing.any()
         x = np.where(missing, 0.0, points) if gaps else points  # NaN reads 0, then fill
-        table = np.empty((self.d, self._width, n))  # coordinate, order, point
-        blank = missing.all(axis=1).tolist()  # a column no point knows reads fill only
-        for family, coords in self._columns.items():
-            cols = [k for k in coords if not blank[k]]
-            if cols:
-                table[cols, :family.max_order + 1] = family.eval_all(x[cols]).swapaxes(0, 1)
+        table = np.empty((self.d, self.width, n))  # coordinate, order, point
+        for family, cols in self._columns.items():
+            table[cols, :family.max_order + 1] = family.eval_all(x[cols]).swapaxes(0, 1)
         if gaps:
             np.copyto(table[:, 1:], fill, where=missing[:, None])
-        table = table.reshape(self.d * self._width, n)
+        table = table.reshape(self.d * self.width, n)
         out = np.empty((len(self), n))
         out[0] = 1.0  # the constant
         for lvl, (start, rows) in enumerate(self._factors):
             if lvl:
                 out[start:] *= table[rows]
             else:  # every row index is valid, so "clip" only skips numpy's buffering
-                np.take(table, rows, axis=0, out=out[start:], mode="clip")
+                table.take(rows, axis=0, out=out[start:], mode="clip")
         return out
 
     def eval_function(self, j: MultiIndex, x: Sequence[float]) -> float:
@@ -216,6 +220,8 @@ def build_full(d: int, families, level_orders) -> BasisSpec:
     for lvl in range(1, d + 1):
         if lvl not in level_orders:
             raise ValueError(f"level_orders missing level {lvl}")
+        if level_orders[lvl] < 0:
+            raise ValueError(f"level {lvl} has negative order {level_orders[lvl]}")
     levels = [(lvl, level_orders[lvl]) for lvl in range(1, d + 1) if level_orders[lvl] > 0]
     count = 1 + sum(comb(d, lvl) * m ** lvl for lvl, m in levels)
     if count > MAX_FUNCTIONS:

@@ -243,6 +243,42 @@ def test_eval_all_matches_eval():
     assert np.allclose(fam.eval_all(xg)[2], fam.eval(2, xg))
 
 
+def ref_eval_all(fam, x):
+    """The recurrence written out with fresh temporaries: t = 2x-1,
+    P_n = ((2n-1) t P_{n-1} - (n-1) P_{n-2}) / n, then sqrt(2n+1) per row;
+    sqrt(2) sin/cos of frequency (j+1)//2."""
+    arr = np.asarray(x, dtype=float)
+    m = fam.max_order
+    out = np.empty((m + 1,) + arr.shape)
+    out[0] = 1.0
+    if fam.kind == "legendre":
+        t = 2 * arr - 1
+        for n in range(1, m + 1):
+            out[n] = t if n == 1 else ((2 * n - 1) * t * out[n - 1] - (n - 1) * out[n - 2]) / n
+        out[1:] *= np.sqrt(2.0 * np.arange(1, m + 1) + 1.0).reshape((m,) + (1,) * arr.ndim)
+    else:
+        for j in range(1, m + 1):
+            wave = np.sin if j % 2 == 1 else np.cos
+            out[j] = np.sqrt(2.0) * wave(2 * np.pi * ((j + 1) // 2) * arr)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["legendre", "trig"])
+def test_eval_all_matches_the_reference_recurrence_bit_for_bit(kind):
+    rng = np.random.default_rng(105)
+    inputs = (0.3, np.float64(1.0), np.array(0.0), rng.random(9), rng.random((3, 4)),
+              np.array([[0.0, np.nan], [1.0, 0.5]]))
+    for m in range(21):
+        fam = Family1D(kind, m)
+        for x in inputs:
+            got, want = fam.eval_all(x), ref_eval_all(fam, x)
+            assert got.shape == want.shape == (m + 1,) + np.shape(x)
+            assert got.tobytes() == want.tobytes()
+            assert fam._stack(np.asarray(x, dtype=float)).tobytes() == want.tobytes()
+        nan_column = fam.eval_all(inputs[-1])[:, 0, 1]
+        assert nan_column[0] == 1.0 and np.isnan(nan_column[1:]).all()  # NaN passes through
+
+
 def test_gauss_nodes():
     x, w = gauss_nodes(4)
     assert np.all((0 < x) & (x < 1))

@@ -168,6 +168,33 @@ def test_density_point_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("point, bad", [("nan,?", 1), ("0.3,nan", 2), ("inf,0.3", 1),
+                                        ("?,-inf", 2), ("NaN,0.4", 1)])
+def test_density_point_rejects_non_finite_cells(tmp_path, capsys, point, bad):
+    data = write_sample(tmp_path)
+    out = tmp_path / "m.model"
+    main(["fit", "--input", str(data), "--out", str(out), "--orders", "1"])
+    capsys.readouterr()
+    assert main(["density", "--model", str(out), "--point", point]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"coordinate {bad}:" in captured.err and "not a finite number" in captured.err
+
+
+def test_density_point_rejects_infinity_under_a_clipping_rescale(tmp_path, capsys):
+    data = write_sample(tmp_path)
+    schema = tmp_path / "schema.txt"
+    schema.write_text("a: legendre rescale 0 10\n")
+    out = tmp_path / "m.model"
+    assert main(["fit", "--input", str(data), "--out", str(out), "--orders", "1",
+                 "--schema", str(schema)]) == 0
+    capsys.readouterr()
+    assert main(["density", "--model", str(out), "--point", "20,0.5"]) == 0  # clipped to 1
+    capsys.readouterr()
+    assert main(["density", "--model", str(out), "--point", "inf,0.5"]) == 1
+    assert "coordinate 1:" in capsys.readouterr().err
+
+
 def test_density_discrete_slice_uses_grid(tmp_path, capsys):
     p = tmp_path / "mix.csv"
     rng = np.random.default_rng(52)

@@ -738,6 +738,58 @@ def test_block_impute_matches_the_slice_by_slice_definition(seed, d, policy):
             assert_same_result(res, ref_impute(model, row, policy), tol=1e-9)
 
 
+def ref_numerators(model, products, column, missing, cells):
+    """_numerators one coordinate at a time: the cells of coordinate i,
+    then one bincount over the functions that touch no unknown coordinate
+    but i, functions outer and cells inner."""
+    orders, touch = model.spec.orders, model.spec.orders > 0
+    point, coord = np.nonzero(cells)
+    source = np.asarray(column)[point]
+    hits = touch @ missing.T.astype(np.int16)
+    width = max(family.max_order for family in model.spec.families) + 1
+    out = np.zeros((len(point), width))
+    for i in set(coord.tolist()):
+        (at,) = np.nonzero(coord == i)
+        f, c = np.nonzero(hits[:, point[at]] == touch[:, i, None])
+        weights = products[f, source[at][c]] * model.coef[f]
+        bins = c * width + orders[f, i]
+        out[at] = np.bincount(bins, weights, len(at) * width).reshape(-1, width)
+    return out
+
+
+# seed 0, d 5: 8 rows, 21 missing cells, 7 rows that branch and 1 that fails
+@example(seed=0, d=5, policy="cluster-split", cells_per_run=1)
+@example(seed=0, d=5, policy="cluster-split", cells_per_run=3)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), policy=st.sampled_from(POLICIES),
+       cells_per_run=st.sampled_from([None, 1, 3]))
+def test_numerators_match_the_per_coordinate_reference(seed, d, policy, cells_per_run):
+    """Bit for bit, on every step of a block impute (fully missing first
+    row, cluster-split branches) and on conditional_slice, whose one cell
+    is not all that is missing, with runs cut to 1 or 3 cells."""
+    model, rng = random_model(seed, d)
+    block = random_block(model, rng)
+    numerators, seen = hcr.density._numerators, []
+
+    def checked(*args):
+        got, want = numerators(*args), ref_numerators(*args)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        seen.append(len(got))
+        return got
+
+    bound = (hcr.estimator.FIT_BLOCK if cells_per_run is None
+             else 4 * len(model.spec) * cells_per_run)
+    with mock.patch.object(hcr.density, "_numerators", checked), \
+            mock.patch.object(hcr.estimator, "FIT_BLOCK", bound):
+        _impute_rows(model, block, policy)
+        for row in block[1:]:
+            for i in np.flatnonzero(np.isnan(row))[:1]:
+                try:
+                    conditional_slice(model, row, int(i))
+                except NonpositiveMassError:
+                    pass
+    assert seen
+
+
 # row 9 has a cluster of mass 0.0312 and first moment -0.555 on a slice of
 # values up to 14: both agree with the reference to 4e-14, but their ratio,
 # the mean -17.78, only to 1.2e-12 relative

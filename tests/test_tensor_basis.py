@@ -49,6 +49,13 @@ def test_build_full_validation():
         build_full(2, legendre(2), {1: 2})  # level 2 unspecified
 
 
+def test_build_full_rejects_a_negative_level_order():
+    with pytest.raises(ValueError, match="level 2 has negative order -1"):
+        build_full(2, legendre(3), {1: 2, 2: -1})
+    with pytest.raises(ValueError, match="level 1 has negative order -3"):
+        build_full(3, legendre(3), -3)
+
+
 def test_build_sparse_pair_whitelist():
     spec = build_sparse(4, legendre(1), [{0, 1}, {2, 3}], 1)
     nonconstant = [j for j in spec.selected if any(j)]
