@@ -103,10 +103,6 @@ class Family1D:
             raise ValueError("grid is defined for discrete families only")
         return np.arange(self.v) / (self.v - 1)
 
-    def _check_order(self, j: int):
-        if not 0 <= j <= self.max_order:
-            raise ValueError(f"order {j} outside 0..{self.max_order}")
-
     def _grid_index(self, x: np.ndarray) -> np.ndarray:
         k = np.minimum(np.maximum(np.rint(x * (self.v - 1)).astype(int), 0), self.v - 1)
         if (np.abs(x - k / (self.v - 1)) > 1e-9).any():
@@ -115,7 +111,8 @@ class Family1D:
 
     def eval(self, j: int, x):
         """Value of the order-j function at x (scalar or array) in [0,1]."""
-        self._check_order(j)
+        if not 0 <= j <= self.max_order:
+            raise ValueError(f"order {j} outside 0..{self.max_order}")
         out = self.eval_all(x)[j]
         return out if out.ndim else float(out)
 
@@ -160,40 +157,6 @@ class Family1D:
                 p *= _SQ2
         return out
 
-    def _measure(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the family's measure: weight 1/v per grid
-        point, else Gauss-Legendre on [0,1], exact for any product of two
-        Legendre rows."""
-        if self.is_discrete:
-            return self.grid, np.full(self.v, 1.0 / self.v)
-        return gauss_nodes(max(96, self.max_order + 1))
-
-    def inner_product(self, j1: int, j2: int) -> float:
-        """<f_j1, f_j2> under the family's measure."""
-        self._check_order(j1)
-        self._check_order(j2)
-        nodes, weights = self._measure()
-        values = self.eval_all(nodes)
-        return float(np.sum(weights * values[j1] * values[j2]))
-
-    def integrate_moment(self, j: int, p: int) -> float:
-        """Moment integral of x^p against the order-j function over [0,1].
-
-        Closed forms for the polynomial family, quadrature for trig.
-        Discrete coordinates have no Lebesgue moments; sum over the grid
-        instead.
-        """
-        self._check_order(j)
-        if p not in (0, 1, 2):
-            raise ValueError("moment power must be 0, 1 or 2")
-        return float(self.moment_table()[p, j])
-
-    def moment_table(self) -> np.ndarray:
-        """Read-only (3, max_order+1) array of integrate_moment(j, p) at [p, j]."""
-        if self.is_discrete:
-            raise ValueError("discrete family has no continuous moments")
-        return _moment_table(self)
-
     def snap(self, x):
         """x clipped into [0,1] (NaN to 0), then for a discrete family rounded
         to the nearest grid value (np.rint: exact halves go to the even index)."""
@@ -220,7 +183,10 @@ def _moment_table(family: Family1D) -> np.ndarray:
         }
         table = np.array([[exact.get((p, j), 0.0) for j in range(m + 1)] for p in range(3)])
     else:
-        nodes, weights = family._measure()
+        if family.is_discrete:
+            nodes, weights = family.grid, np.full(family.v, 1.0 / family.v)
+        else:  # Gauss-Legendre on [0,1], exact for any product of two Legendre rows
+            nodes, weights = gauss_nodes(max(96, m + 1))
         values = family.eval_all(nodes)
         table = np.array([[np.sum(weights * nodes**p * values[j]) for j in range(m + 1)]
                           for p in range(3)])

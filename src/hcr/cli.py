@@ -12,8 +12,8 @@ from itertools import groupby, repeat
 import numpy as np
 
 from .basis1d import Family1D, discrete
-from .dataset import (DEFAULT_MISSING_TOKENS, Identity, column_specs,
-                      fit_transform, load_table, parse_schema, write_table)
+from .dataset import (DEFAULT_MISSING_TOKENS, column_specs, fit_transform, load_table,
+                      parse_schema, write_table)
 from .density import (CLUSTER_SPLIT, EXPECTED, TOP_MODE, _impute_rows, clamp,
                       conditional_slice, evaluate)
 from .errors import HcrError, NonpositiveMassError, PositivityError, TableError
@@ -108,19 +108,19 @@ def cmd_fit(args) -> int:
 
     names = data.names
     print(f"records: {data.n}, coordinates: {data.d}")
-    counts = data.presence_counts()
+    counts = data.present.sum(axis=0)
     print("presence: " + ", ".join(f"{nm} {int(c)}/{data.n}" for nm, c in zip(names, counts)))
     if any(c == 0 for c in counts):
         empty = [nm for nm, c in zip(names, counts) if c == 0]
         print(f"warning: fully-missing columns {empty}: their terms are flagged no-evidence")
-    levels = spec.level_counts()
-    print("basis: " + ", ".join(f"level {lvl}: {levels[lvl]}" for lvl in sorted(levels))
+    levels = np.bincount(spec.touch.sum(axis=1))
+    print("basis: " + ", ".join(f"level {lvl}: {n}" for lvl, n in enumerate(levels) if n)
           + f" ({len(spec)} functions)")
     if len(spec) == 1:
         print("warning: uniform model (no non-constant functions selected)")
-    ev = sorted(model.evidence.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    # evidence keeps selected's canonical order: by level, then by subset
     print("evidence: " + ", ".join(
-        f"{_subset_names(c, names) if c else '{}'}: {n}" for c, n in ev))
+        f"{_subset_names(c, names) if c else '{}'}: {n}" for c, n in model.evidence.items()))
     ranked = sorted(
         (j for j in spec.selected if support(j) and np.isfinite(model.uncertainty[j])
          and model.uncertainty[j] > 0),
@@ -138,8 +138,7 @@ def cmd_impute(args) -> int:
     data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
     if data.d != model.d:
         raise TableError(f"table has {data.d} coordinates, model expects {model.d}")
-    transforms = model.transforms or [Identity() for _ in range(model.d)]
-    unit = data.transformed(transforms)
+    unit = data.transformed(model.transforms)
     results = []
     for rows in _blocks(model.spec, data.n):
         results += _impute_rows(model, unit.values[rows], args.policy)
@@ -160,7 +159,7 @@ def cmd_impute(args) -> int:
     cells = data.values[source]
     filled = np.reshape(filled, cells.shape)
     holes = np.isnan(unit.values[source]) & ~np.isnan(filled)
-    for i, tr in enumerate(transforms):
+    for i, tr in enumerate(model.transforms):
         if holes[:, i].any():
             cells[holes[:, i], i] = tr.invert(filled[holes[:, i], i])
     # the output built column by column, handed to write_table as rows
@@ -196,7 +195,6 @@ def cmd_density(args) -> int:
     free = [i for i, p in enumerate(parts) if p == "?"]
     if len(free) > 1:
         raise _UsageError("at most one '?' coordinate; use impute for joint queries")
-    transforms = model.transforms or [Identity() for _ in range(model.d)]
     point = np.full(model.d, np.nan)
     for i, p in enumerate(parts):
         if p == "?":
@@ -207,7 +205,7 @@ def cmd_density(args) -> int:
             raise _UsageError(f"coordinate {i + 1}: {p!r} is not a number") from None
         if not np.isfinite(raw):
             raise _UsageError(f"coordinate {i + 1}: {p!r} is not a finite number")
-        point[i] = float(np.asarray(transforms[i].apply(raw)))
+        point[i] = float(np.asarray(model.transforms[i].apply(raw)))
     if not free:
         rho = evaluate(model, point)
         if args.epsilon is not None:
@@ -222,7 +220,7 @@ def cmd_density(args) -> int:
     if args.epsilon is not None:
         values = np.maximum(values, args.epsilon)
     name = model.coordinate_names()[i]
-    rows = np.column_stack([grid, transforms[i].invert(grid), values])
+    rows = np.column_stack([grid, model.transforms[i].invert(grid), values])
     write_table(args.out if args.out else sys.stdout, ["x", name, "density"],
                 rows, args.sep, fmt=repr)
     return 0
@@ -240,8 +238,7 @@ def cmd_refine(args) -> int:
     data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
     if data.d != model.d:
         raise TableError(f"table has {data.d} coordinates, model expects {model.d}")
-    transforms = model.transforms or [Identity() for _ in range(model.d)]
-    unit = data.transformed(transforms)
+    unit = data.transformed(model.transforms)
     try:
         refined, trace = refine(model, unit, config)
     except (PositivityError, NonpositiveMassError) as exc:
@@ -285,11 +282,10 @@ def cmd_report(args) -> int:
     model = load_model(args.model)
     names = model.coordinate_names()
     print(f"model: {model.d} coordinates, {len(model.spec.selected)} functions")
-    transforms = model.transforms or [Identity() for _ in range(model.d)]
     for i, fam in enumerate(model.spec.families):
         extra = f" v={fam.v}" if fam.is_discrete else ""
         print(f"  column {names[i]}: {fam.kind} order<={fam.max_order}{extra} "
-              f"transform={transforms[i].kind}")
+              f"transform={model.transforms[i].kind}")
     rows = zip(model.spec.selected, model.coef, model.unc, model.term_flags)
     # selected is in canonical order, so each level is one run of rows
     for lvl, run in groupby(rows, key=lambda row: len(support(row[0]))):

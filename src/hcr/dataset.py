@@ -65,25 +65,8 @@ class Dataset:
         """Boolean (n,d) mask of present cells."""
         return ~np.isnan(self.values)
 
-    def known(self, k: int) -> tuple[int, ...]:
-        """Known-coordinate set of record k, ascending."""
-        return tuple(np.flatnonzero(~np.isnan(self.values[k])))
-
-    def presence_counts(self) -> np.ndarray:
-        return self.present.sum(axis=0)
-
     def complete_mask(self) -> np.ndarray:
         return self.present.all(axis=1)
-
-    def evidence_mask(self, coords) -> np.ndarray:
-        """Records whose known set contains every coordinate in coords."""
-        coords = tuple(coords)
-        if not coords:
-            return np.ones(self.n, dtype=bool)
-        return self.present[:, coords].all(axis=1)
-
-    def evidence_count(self, coords) -> int:
-        return int(self.evidence_mask(coords).sum())
 
     def transformed(self, transforms, invert: bool = False) -> "Dataset":
         """Apply per-coordinate transforms to present cells; NaN stays NaN."""

@@ -24,22 +24,26 @@ UNCERTAINTY_UNDEFINED = "uncertainty-undefined"
 FIT_BLOCK = 1 << 18  # function values (functions x rows) a row-blocked loop holds at once
 
 
-def _aligned(spec: BasisSpec, values, constant, default=None):
-    """One entry per spec.selected from an aligned sequence or a
-    multi-index mapping, where an absent constant reads constant and any
-    other absent index default (with default None, an error); a mapping
-    key outside spec.selected is an error."""
+def _aligned(spec: BasisSpec, values, constant, default=None, key=None):
+    """One entry per spec.selected from an aligned sequence or a mapping
+    keyed by multi-index, or by key(multi-index) when key is given, where
+    an absent constant reads constant and any other absent key default
+    (with default None, an error); a mapping key that no selected index
+    has is an error."""
     if not isinstance(values, Mapping):
         if len(values) != len(spec):
             raise ValueError(f"expected {len(spec)} aligned values, got {len(values)}")
         return values
-    foreign = [j for j in values if j not in spec]
+    keys = spec.selected if key is None else tuple(map(key, spec.selected))
+    known = spec if key is None else set(keys)
+    foreign = [k for k in values if k not in known]
     if foreign:
-        raise ValueError(f"index {foreign[0]} is not in the selected set")
-    missing = [j for j in spec.selected[1:] if j not in values]
+        raise ValueError(f"{'index' if key is None else 'support'} {foreign[0]} "
+                         "is not in the selected set")
+    missing = [k for k in keys[1:] if k not in values]
     if missing and default is None:
         raise ValueError(f"coefficient missing for selected index {missing[0]}")
-    return [values.get(j, default if p else constant) for p, j in enumerate(spec.selected)]
+    return [values.get(k, default if p else constant) for p, k in enumerate(keys)]
 
 
 class Model:
@@ -47,17 +51,18 @@ class Model:
 
     The state is coef (a_f, the constant's pinned to 1 so the density
     integrates to 1), unc (standard errors, NaN with fewer than 2
-    supporting records) and term_flags, read-only and aligned with
-    spec.selected.  coefficients, uncertainty and flags are read-only
-    multi-index views of them, and the constructor takes either form; a
-    mapping may omit the constant, and any index but a coefficient's.
-    evidence maps each tracked support subset to |K_C|.  A model copies
-    the statistics it is given and is never mutated.
+    supporting records), count (each function's evidence |K_C|, the
+    records that know its support C) and term_flags, read-only and
+    aligned with spec.selected.  coefficients, uncertainty and flags are
+    read-only views of them keyed by multi-index, evidence one of count
+    keyed by support, and the constructor takes either form.  A mapping
+    may omit the constant, and any index but a coefficient's; an absent
+    support has evidence 0.  A model copies the statistics it is given
+    and is never mutated.
     """
 
-    def __init__(self, spec: BasisSpec, coefficients, evidence: Mapping[tuple[int, ...], int],
-                 uncertainty, flags=None, transforms: list | None = None,
-                 names: tuple[str, ...] | None = None):
+    def __init__(self, spec: BasisSpec, coefficients, evidence, uncertainty, flags=None,
+                 transforms: list | None = None, names: tuple[str, ...] | None = None):
         self.spec = spec
         self.coef = np.array(_aligned(spec, coefficients, 1.0), dtype=float)
         self.coef[0] = 1.0
@@ -65,10 +70,10 @@ class Model:
             bad = int(np.argmin(np.isfinite(self.coef)))
             raise ValueError(f"coefficient of {spec.selected[bad]} is not finite")
         self.unc = np.array(_aligned(spec, uncertainty, 0.0, float("nan")), dtype=float)
-        for vec in (self.coef, self.unc):
+        self.count = np.array(_aligned(spec, evidence, 0, 0, support), dtype=np.int64)
+        for vec in (self.coef, self.unc, self.count):
             vec.setflags(write=False)
         self.term_flags = tuple(_aligned(spec, {} if flags is None else flags, "", ""))
-        self.evidence = dict(evidence)
         self.transforms = transforms
         self.names = names
 
@@ -88,6 +93,10 @@ class Model:
     def flags(self) -> Mapping[MultiIndex, str]:
         return MappingProxyType(dict(zip(self.spec.selected, self.term_flags)))
 
+    @cached_property
+    def evidence(self) -> Mapping[tuple[int, ...], int]:
+        return MappingProxyType(dict(zip(map(support, self.spec.selected), self.count.tolist())))
+
     def coordinate_names(self) -> tuple[str, ...]:
         if self.names is not None:
             return self.names
@@ -96,19 +105,15 @@ class Model:
     def with_coefficients(self, coefficients, evidence=None) -> "Model":
         """The same model with new coefficients and, if given, evidence."""
         return Model(self.spec, coefficients,
-                     self.evidence if evidence is None else evidence,
+                     self.count if evidence is None else evidence,
                      self.unc, self.term_flags, self.transforms, self.names)
 
     def restricted(self, rows: np.ndarray) -> "Model":
         """Sub-model of the functions a boolean mask over spec.selected
-        keeps (the constant among them), with their supports' evidence."""
-        selected = tuple(j for j, k in zip(self.spec.selected, rows) if k)
-        spec = BasisSpec(self.d, self.spec.families, selected)
-        supports = {support(j) for j in selected}
-        evidence = {c: n for c, n in self.evidence.items() if c in supports}
-        flags = [f for f, k in zip(self.term_flags, rows) if k]
-        return Model(spec, self.coef[rows], evidence, self.unc[rows], flags,
-                     self.transforms, self.names)
+        keeps (the constant among them)."""
+        spec = BasisSpec(self.d, self.spec.families, tuple(compress(self.spec.selected, rows)))
+        return Model(spec, self.coef[rows], self.count[rows], self.unc[rows],
+                     list(compress(self.term_flags, rows)), self.transforms, self.names)
 
 
 def _blocks(spec: BasisSpec, n: int, per_value: int = 1):
@@ -151,17 +156,15 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     unc = np.sqrt(np.divide(m2, count * (count - 1), out=np.full_like(m2, np.nan), where=count > 1))
     flags = np.where(count == 0, NO_EVIDENCE, np.where(count == 1, UNCERTAINTY_UNDEFINED, ""))
     unc[0], flags[0] = 0.0, ""
-    keys, heads = spec.heads
-    evidence = dict(zip(keys, map(int, count[heads].tolist())))
-    return Model(spec, coef, evidence, unc, flags.tolist(), transforms=transforms, names=names)
+    return Model(spec, coef, count, unc, flags.tolist(), transforms=transforms, names=names)
 
 
 def adapt(model: Model, x, rate: float) -> Model:
     """One exponential-moving-average step toward the new record.
 
     Only functions whose support is fully known in x move:
-    a_f <- (1-rate) a_f + rate f(x).  Evidence counters for the covered
-    subsets increment; nothing ever decays.
+    a_f <- (1-rate) a_f + rate f(x).  Their evidence counts increment;
+    nothing ever decays.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie in (0,1)")
@@ -171,11 +174,7 @@ def adapt(model: Model, x, rate: float) -> Model:
     spec, x = model.spec, x[None]
     cover = spec.covered(~np.isnan(x))[:, 0]
     coef = np.where(cover, (1.0 - rate) * model.coef + rate * spec.values(x, 0)[:, 0], model.coef)
-    evidence = dict(model.evidence)
-    keys, heads = spec.heads
-    for coords in compress(keys, cover[heads].tolist()):
-        evidence[coords] = evidence.get(coords, 0) + 1
-    return model.with_coefficients(coef, evidence)
+    return model.with_coefficients(coef, model.count + cover)
 
 
 def lambda_schedule(horizon: int, start: float = 0.05, end: float = 0.001) -> np.ndarray:

@@ -59,9 +59,9 @@ def save_model(model: Model, dest) -> None:
         lines.append(" ".join(["column", str(i), _name(names, i), fam.kind, str(fam.max_order),
                                "-" if fam.v is None else str(fam.v),
                                *transforms[i].tokens()]))
-    for j, a, u, flag in zip(model.spec.selected, model.coef, model.unc, model.term_flags):
-        ev = model.evidence.get(support(j), 0)
-        lines.append(" ".join(["coef", ",".join(map(str, j)), _fmt(a), str(ev), _fmt(u),
+    for j, a, n, u, flag in zip(model.spec.selected, model.coef, model.count.tolist(),
+                                model.unc, model.term_flags):
+        lines.append(" ".join(["coef", ",".join(map(str, j)), _fmt(a), str(n), _fmt(u),
                                flag or "-"]))
     _write(lines, dest)
 
@@ -152,7 +152,11 @@ def load_model(source) -> Model:
                 coefficients[j] = float(parts[2])
                 if not math.isfinite(coefficients[j]):
                     raise ValueError(f"coefficient {parts[2]} is not finite")
-                evidence[support(j)] = int(parts[3])
+                s, n = support(j), int(parts[3])
+                if evidence.setdefault(s, n) != n:
+                    first = next(selected[k] for k in selected if support(k) == s)
+                    raise ValueError(f"evidence {n} disagrees with {evidence[s]} on line "
+                                     f"{first}, which has the same support")
                 uncertainty[j] = float(parts[4])
                 flags[j] = "" if parts[5] == "-" else parts[5]
             else:

@@ -60,9 +60,8 @@ class BasisSpec:
     all-zero index; orders is the same set as a read-only int matrix,
     row p holding the multi-index of selected[p], and touch is orders > 0.
     width is the highest family order plus one, and moments stacks each
-    coordinate's _moment_table, zero-padded to (d, 3, width).  heads pairs
-    () and each key of supports() with the row of its first function (0,
-    the constant, for ()).  Treated as immutable after construction.
+    coordinate's _moment_table, zero-padded to (d, 3, width).  Treated as
+    immutable after construction.
     """
 
     d: int
@@ -86,13 +85,6 @@ class BasisSpec:
             self.moments[k, :, :f.max_order + 1] = _moment_table(f)
         for a in (self.orders, self.touch, self.moments):
             a.setflags(write=False)
-        groups: dict[tuple[int, ...], list[MultiIndex]] = {}
-        for j in self.selected:
-            s = support(j)
-            if s:
-                groups.setdefault(s, []).append(j)
-        self._supports = groups
-        self.heads = ((), *groups), np.array([0, *(self._position[g[0]] for g in groups.values())])
         self._need = np.packbits(self.touch, axis=1).T[:, :, None]  # byte, function, 1
         self._columns = {f: [k for k, g in enumerate(self.families) if g == f]
                          for f in self.families}  # each family's coordinates
@@ -113,13 +105,6 @@ class BasisSpec:
     def position(self, j: MultiIndex) -> int:
         return self._position[tuple(j)]
 
-    def supports(self) -> dict[tuple[int, ...], list[MultiIndex]]:
-        """Selected non-constant functions grouped by support subset.
-
-        The returned mapping is shared; treat it as read-only.
-        """
-        return self._supports
-
     def covered(self, present) -> np.ndarray:
         """Functions x rows of an (n, d) presence mask, true where the row
         knows the function's whole support; one pass per packed byte of d."""
@@ -128,13 +113,6 @@ class BasisSpec:
         for code, need in zip(codes, self._need):
             cover &= (code & need) == need
         return cover
-
-    def level_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for j in self.selected:
-            lvl = len(support(j))
-            counts[lvl] = counts.get(lvl, 0) + 1
-        return counts
 
     def values(self, points, fill: float) -> np.ndarray:
         """Every selected function at each row of an (n, d) block of

@@ -6,6 +6,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_sh_legendre
 
 from hcr import Family1D, discrete, gauss_nodes, legendre, trig
+from hcr.basis1d import _moment_table
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -154,44 +155,47 @@ def test_nonconstant_functions_have_zero_mean():
             assert abs(np.sum(w * fam.eval(j, x))) < 1e-13
 
 
+def inner_product(fam, j1, j2):
+    # Gauss quadrature, or the grid sum with weight 1/v, of eval_all
+    if fam.is_discrete:
+        nodes, weights = fam.grid, np.full(fam.v, 1.0 / fam.v)
+    else:
+        nodes, weights = gauss_nodes(96)
+    values = fam.eval_all(nodes)
+    return float(np.sum(weights * values[j1] * values[j2]))
+
+
 def test_inner_product():
     fam = legendre(5)
-    assert fam.inner_product(3, 3) == pytest.approx(1.0, abs=1e-12)
-    assert fam.inner_product(2, 3) == pytest.approx(0.0, abs=1e-12)
-    assert fam.inner_product(0, 5) == pytest.approx(0.0, abs=1e-12)
+    assert inner_product(fam, 3, 3) == pytest.approx(1.0, abs=1e-12)
+    assert inner_product(fam, 2, 3) == pytest.approx(0.0, abs=1e-12)
+    assert inner_product(fam, 0, 5) == pytest.approx(0.0, abs=1e-12)
     t = trig(4)
-    assert t.inner_product(2, 2) == pytest.approx(1.0, abs=1e-12)
-    assert t.inner_product(1, 2) == pytest.approx(0.0, abs=1e-12)
+    assert inner_product(t, 2, 2) == pytest.approx(1.0, abs=1e-12)
+    assert inner_product(t, 1, 2) == pytest.approx(0.0, abs=1e-12)
     d = discrete(3)
-    assert d.inner_product(1, 2) == pytest.approx(0.0, abs=1e-14)
-    assert d.inner_product(2, 2) == pytest.approx(1.0, abs=1e-14)
+    assert inner_product(d, 1, 2) == pytest.approx(0.0, abs=1e-14)
+    assert inner_product(d, 2, 2) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_moment_integrals_polynomial():
-    fam = legendre(2)
-    assert fam.integrate_moment(0, 0) == pytest.approx(1.0)
-    assert fam.integrate_moment(0, 1) == pytest.approx(0.5)
-    assert fam.integrate_moment(0, 2) == pytest.approx(1.0 / 3.0)
-    assert fam.integrate_moment(1, 1) == pytest.approx(SQ3 / 6.0)
-    assert fam.integrate_moment(1, 2) == pytest.approx(SQ3 / 6.0)
-    assert fam.integrate_moment(2, 1) == pytest.approx(0.0, abs=1e-15)
-    assert fam.integrate_moment(2, 2) == pytest.approx(math.sqrt(5.0) / 30.0)
+    table = _moment_table(legendre(2))  # [p, j]: x^p against the order-j function
+    assert table[0, 0] == pytest.approx(1.0)
+    assert table[1, 0] == pytest.approx(0.5)
+    assert table[2, 0] == pytest.approx(1.0 / 3.0)
+    assert table[1, 1] == pytest.approx(SQ3 / 6.0)
+    assert table[2, 1] == pytest.approx(SQ3 / 6.0)
+    assert table[1, 2] == pytest.approx(0.0, abs=1e-15)
+    assert table[2, 2] == pytest.approx(math.sqrt(5.0) / 30.0)
 
 
 def test_moment_integrals_trig():
-    fam = trig(4)
+    table = _moment_table(trig(4))
     x, w = unit_nodes(200)
     for j in range(5):
         for p in (0, 1, 2):
             want = float(np.sum(w * x**p * trig_oracle(j, x)))
-            assert fam.integrate_moment(j, p) == pytest.approx(want, abs=1e-12)
-
-
-def test_moment_integrals_validation():
-    with pytest.raises(ValueError):
-        discrete(3).integrate_moment(1, 1)
-    with pytest.raises(ValueError):
-        legendre(2).integrate_moment(0, 3)
+            assert table[p, j] == pytest.approx(want, abs=1e-12)
 
 
 def test_eval_range_validation():
@@ -303,7 +307,6 @@ def test_snap_clips_then_rounds_onto_a_discrete_grid():
 
 
 def test_discrete_moments_are_grid_sums():
-    from hcr.basis1d import _moment_table
     fam = discrete(5, 3)
     grid = fam.grid
     table = _moment_table(fam)

@@ -480,6 +480,8 @@ def test_transform_backward_duplicate_column_exits_2(tmp_path, capsys):
      "model file line 5: order 3 exceeds coordinate 0 family capacity"),
     ("dim 1\ncolumn 0 x legendre 2 - none\ncoef -1 0.5 4 0.1 -\n",
      "model file line 4: multi-index (-1,) is not 1 non-negative orders"),
+    ("dim 1\ncolumn 0 x legendre 2 - none\ncoef 1 0.5 5 0.1 -\ncoef 2 0.1 4 0.1 -\n",
+     "model file line 5: evidence 4 disagrees with 5 on line 4, which has the same support"),
     # far more coordinates than memory could hold one list entry for
     ("dim 2000000000000000000\ncolumn 0 x legendre 2 - none\n",
      "model file has column lines for 1 of 2000000000000000000 coordinates"),

@@ -28,14 +28,14 @@ def test_load_table_basic():
 
 def test_presence_bookkeeping():
     ds = load_table(io.StringIO(CSV))
-    assert ds.known(0) == (0, 1, 2)
-    assert ds.known(1) == (0, 2)
-    assert list(ds.presence_counts()) == [4, 4, 4]
+    present = ds.present
+    assert tuple(np.flatnonzero(present[0])) == (0, 1, 2)
+    assert tuple(np.flatnonzero(present[1])) == (0, 2)
+    assert list(present.sum(axis=0)) == [4, 4, 4]
     assert list(ds.complete_mask()) == [True, False, False, True, False]
-    assert ds.evidence_count(()) == 5
-    assert ds.evidence_count((0,)) == 4
-    assert ds.evidence_count((0, 1)) == 3
-    assert list(ds.evidence_mask((1, 2))) == [True, False, False, True, True]
+    assert present[:, [0]].all(axis=1).sum() == 4
+    assert present[:, [0, 1]].all(axis=1).sum() == 3
+    assert list(present[:, [1, 2]].all(axis=1)) == [True, False, False, True, True]
 
 
 def test_load_table_from_path(tmp_path):

@@ -53,9 +53,8 @@ def test_fit_pairwise_uses_pair_evidence():
         [nan, 0.25],
     ])
     data = Dataset(rows)
-    assert data.evidence_count((0,)) == 5
-    assert data.evidence_count((1,)) == 4
-    assert data.evidence_count((0, 1)) == 3
+    knows = ~np.isnan(rows)
+    assert knows[:, 0].sum() == 5 and knows[:, 1].sum() == 4 and knows.all(axis=1).sum() == 3
     m = fit(build_full(2, legendre(1), 1), data)
     x_known = rows[~np.isnan(rows[:, 0]), 0]
     y_known = rows[~np.isnan(rows[:, 1]), 1]
@@ -257,10 +256,11 @@ def test_fit_keeps_names_and_transforms():
 
 def test_model_views_are_read_only():
     m = fit(build_full(1, legendre(2), 2), Dataset(np.array([[0.2], [0.9], [0.4]])))
-    for view, value in ((m.coefficients, 0.9), (m.uncertainty, 0.1), (m.flags, "x")):
+    for view, value in ((m.coefficients, 0.9), (m.uncertainty, 0.1), (m.flags, "x"),
+                        (m.evidence, 7)):
         with pytest.raises(TypeError):
             view[(1,)] = value
-    for vec in (m.coef, m.unc):
+    for vec in (m.coef, m.unc, m.count):
         with pytest.raises(ValueError):
             vec[1] = 0.9
     assert m.coefficients[(1,)] == m.coef[1]
@@ -279,7 +279,8 @@ def test_model_neither_changes_nor_keeps_the_callers_mappings():
     assert flags == {(2,): NO_EVIDENCE} and evidence == {(0,): 7}
     coefficients[(1,)] = 0.9
     evidence[(0,)] = 99
-    assert m.coefficients[(1,)] == 0.25 and m.evidence == {(0,): 7}
+    assert m.coefficients[(1,)] == 0.25 and m.evidence == {(): 0, (0,): 7}
+    assert list(m.count) == [0, 7, 7]
     assert list(m.coef) == [1.0, 0.25, -0.125]
     assert m.unc[0] == 0.0 and m.unc[1] == 0.01 and np.isnan(m.unc[2])
     assert m.term_flags == ("", "", NO_EVIDENCE)
@@ -298,6 +299,15 @@ def test_model_rejects_a_mapping_key_outside_the_selected_set():
         Model(spec, {(1,): 0.2, (2,): 0.1}, {}, {(0, 1): 0.01})
     with pytest.raises(ValueError, match=r"index \(5,\) is not in the selected set"):
         Model(spec, {(1,): 0.2, (2,): 0.1}, {}, {}, {(5,): NO_EVIDENCE})
+    # evidence is keyed by support: a key no selected function has raises
+    spec = build_full(2, legendre(2), {1: 2, 2: 0})
+    coefficients = dict.fromkeys(spec.selected[1:], 0.0)
+    for key in [(4,), (0, 1), (1, 0)]:
+        with pytest.raises(ValueError) as err:
+            Model(spec, coefficients, {(0,): 7, key: 3}, {})
+        assert str(err.value) == f"support {key} is not in the selected set"
+    with pytest.raises(ValueError, match="expected 5 aligned values"):
+        Model(spec, coefficients, [0, 7, 7], {})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

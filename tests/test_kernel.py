@@ -304,7 +304,7 @@ def test_adapt_evidence_matches_the_superset_reference(seed, d, n, missing):
     for x in stream:
         adapted = adapt(adapted, x, 0.1)
         known = set(np.flatnonzero(~np.isnan(x)).tolist())
-        for coords in [(), *spec.supports()]:
+        for coords in {support(j) for j in spec.selected}:
             if known.issuperset(coords):
                 want[coords] = want.get(coords, 0) + 1
     assert adapted.evidence == want
@@ -424,7 +424,7 @@ def test_adapt_matches_per_term_replay(seed, d, missing):
         for value in F[~np.isnan(F[:, p]), p]:
             want[p] = (1 - rate) * want[p] + rate * value
     assert np.allclose(adapted.coef, want, rtol=1e-12, atol=1e-12)
-    for coords in model.spec.supports():
+    for coords in {support(j) for j in model.spec.selected[1:]}:
         knows = ~np.isnan(stream[:, list(coords)]).any(axis=1)
         assert adapted.evidence.get(coords, 0) == int(knows.sum())
     assert adapted.evidence[()] == len(stream)

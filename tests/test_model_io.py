@@ -174,6 +174,18 @@ def test_load_rejects_duplicate_coef_lines():
         load_model(io.StringIO(text))
 
 
+def test_load_rejects_evidence_that_disagrees_within_a_support():
+    # at the parent the last line's count won and was saved back on both lines
+    head = "hcrmodel 1\ndim 2\ncolumn 0 x1 legendre 2 - none\ncolumn 1 x2 legendre 2 - none\n"
+    text = head + "coef 1,0 0.5 5 0.1 -\ncoef 0,1 0.5 4 0.1 -\ncoef 2,0 0.1 4 0.1 -\n"
+    with pytest.raises(ValueError, match="model file line 7: evidence 4 disagrees with 5 "
+                                         "on line 5, which has the same support"):
+        load_model(io.StringIO(text))
+    text = head + "coef 1,0 0.5 5 0.1 -\ncoef 0,1 0.5 4 0.1 -\ncoef 2,0 0.1 5 0.1 -\n"
+    m = load_model(io.StringIO(text))
+    assert m.evidence == {(): 0, (0,): 5, (1,): 4} and list(m.count) == [0, 5, 5, 4]
+
+
 @pytest.mark.parametrize("token", ["x", "-1", "1.0"])
 def test_load_names_line_1_on_a_bad_version_token(token):
     with pytest.raises(ValueError, match=f"model file line 1: bad format version '{token}'"):

@@ -47,7 +47,9 @@ def models(draw):
     unc = draw(st.lists(st.floats(allow_nan=True), min_size=n, max_size=n))
     flags = draw(st.lists(st.sampled_from(["", NO_EVIDENCE, UNCERTAINTY_UNDEFINED]),
                           min_size=n, max_size=n))
-    evidence = {support(j): draw(st.integers(0, 10**6)) for j in spec.selected}
+    supports = sorted({support(j) for j in spec.selected})
+    evidence = {s: draw(st.integers(0, 10**6))
+                for s in draw(st.sets(st.sampled_from(supports)))}  # possibly none
     transforms = draw(st.one_of(st.none(), transform_lists(d)))
     names = draw(st.one_of(st.none(), st.lists(NAMES, min_size=d, max_size=d).map(tuple)))
     return Model(spec, coef, evidence, unc, flags, transforms=transforms, names=names)
@@ -64,6 +66,10 @@ def test_model_save_load_save_is_byte_identical(model):
     assert back.coef.tobytes() == model.coef.tobytes()
     assert np.array_equal(back.unc, model.unc, equal_nan=True)
     assert back.term_flags == model.term_flags
+    # evidence lists every selected support, 0 where none was given
+    assert back.evidence == model.evidence
+    assert set(back.evidence) == {support(j) for j in model.spec.selected}
+    assert back.count.dtype == model.count.dtype and np.array_equal(back.count, model.count)
 
 
 @given(st.integers(1, 5).flatmap(lambda d: st.tuples(
