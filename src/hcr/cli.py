@@ -12,8 +12,8 @@ from itertools import groupby, repeat
 import numpy as np
 
 from .basis1d import Family1D, discrete
-from .dataset import (DEFAULT_MISSING_TOKENS, column_specs, fit_transform, load_table,
-                      parse_schema, write_table)
+from .dataset import (DEFAULT_MISSING_TOKENS, _finite, _opened, column_specs, fit_transform,
+                      load_table, parse_schema, write_table)
 from .density import (CLUSTER_SPLIT, EXPECTED, TOP_MODE, _impute_rows, clamp,
                       conditional_slice, evaluate)
 from .errors import HcrError, NonpositiveMassError, PositivityError, TableError
@@ -38,9 +38,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _missing_tokens(arg: str | None) -> frozenset:
-    if arg is None:
-        return DEFAULT_MISSING_TOKENS
+def _missing_tokens(arg: str) -> frozenset:
     return frozenset(t.strip() for t in arg.split(",")) | {""}
 
 
@@ -57,24 +55,21 @@ def _parse_orders(text: str, d: int) -> dict[int, int]:
         values = values * d
     if len(values) > d:
         raise _UsageError(f"--orders lists {len(values)} levels for {d} coordinates")
-    orders = {lvl: 0 for lvl in range(1, d + 1)}
-    for lvl, v in enumerate(values, start=1):
-        orders[lvl] = v
-    return orders
+    return dict(enumerate(values + [0] * (d - len(values)), start=1))
 
 
-def _read_text(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
-
-
-def _subset_names(coords, names) -> str:
-    return "{" + ",".join(names[i] for i in coords) + "}"
+def _declared(data, schema_path):
+    """The --schema file's column specs (defaults without one) and their fitted transforms."""
+    schema = {}
+    if schema_path:
+        with _opened(schema_path, "r") as fh:
+            schema = parse_schema(fh.read())
+    specs = column_specs(schema, data.names)
+    return specs, [fit_transform(s, data.values[:, i]) for i, s in enumerate(specs)]
 
 
 def _function_name(j, names) -> str:
-    parts = [f"{names[i]}^{j[i]}" for i in support(j)]
-    return "*".join(parts) if parts else "1"
+    return "*".join(f"{names[i]}^{j[i]}" for i in support(j)) or "1"
 
 
 def _interpret(j, names, a: float) -> str:
@@ -93,10 +88,8 @@ def _interpret(j, names, a: float) -> str:
 
 
 def cmd_fit(args) -> int:
-    data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
-    schema = parse_schema(_read_text(args.schema)) if args.schema else {}
-    specs = column_specs(schema, data.names)
-    transforms = [fit_transform(s, data.values[:, i]) for i, s in enumerate(specs)]
+    data = load_table(args.input, args.missing_tokens, args.sep)
+    specs, transforms = _declared(data, args.schema)
     unit = data.transformed(transforms)
     orders = _parse_orders(args.orders, data.d)
     max_m = max(orders.values())
@@ -120,22 +113,22 @@ def cmd_fit(args) -> int:
         print("warning: uniform model (no non-constant functions selected)")
     # evidence keeps selected's canonical order: by level, then by subset
     print("evidence: " + ", ".join(
-        f"{_subset_names(c, names) if c else '{}'}: {n}" for c, n in model.evidence.items()))
-    ranked = sorted(
-        (j for j in spec.selected if support(j) and np.isfinite(model.uncertainty[j])
-         and model.uncertainty[j] > 0),
-        key=lambda j: -abs(model.coefficients[j]) / model.uncertainty[j])
+        "{" + ",".join(names[i] for i in c) + "}: " + str(n) for c, n in model.evidence.items()))
+    rows = np.flatnonzero(spec.touch.any(axis=1) & np.isfinite(model.unc) & (model.unc > 0))
+    ratio = np.abs(model.coef[rows]) / model.unc[rows]
+    ranked = rows[np.argsort(-ratio, kind="stable")[:5]].tolist()
     if ranked:
         print("top coefficients by |a|/uncertainty:")
-        for j in ranked[:5]:
-            a, u = model.coefficients[j], model.uncertainty[j]
-            print(f"  {_function_name(j, names)} a={a:.6g} u={u:.6g} ratio={abs(a) / u:.3g}")
+        for p in ranked:
+            a, u = float(model.coef[p]), float(model.unc[p])
+            print(f"  {_function_name(spec.selected[p], names)} a={a:.6g} u={u:.6g} "
+                  f"ratio={abs(a) / u:.3g}")
     return 0
 
 
 def cmd_impute(args) -> int:
     model = load_model(args.model)
-    data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
+    data = load_table(args.input, args.missing_tokens, args.sep)
     if data.d != model.d:
         raise TableError(f"table has {data.d} coordinates, model expects {model.d}")
     unit = data.transformed(model.transforms)
@@ -200,11 +193,9 @@ def cmd_density(args) -> int:
         if p == "?":
             continue
         try:
-            raw = float(p)
-        except ValueError:
-            raise _UsageError(f"coordinate {i + 1}: {p!r} is not a number") from None
-        if not np.isfinite(raw):
-            raise _UsageError(f"coordinate {i + 1}: {p!r} is not a finite number")
+            raw = _finite(p)
+        except ValueError as exc:
+            raise _UsageError(f"coordinate {i + 1}: {exc}") from None
         point[i] = float(np.asarray(model.transforms[i].apply(raw)))
     if not free:
         rho = evaluate(model, point)
@@ -235,7 +226,7 @@ def cmd_refine(args) -> int:
         flag = {"step_size": "rate", "positivity_margin": "epsilon"}.get(field, field)
         raise _UsageError(f"--{flag}: {exc}") from None
     model = load_model(args.model)
-    data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
+    data = load_table(args.input, args.missing_tokens, args.sep)
     if data.d != model.d:
         raise TableError(f"table has {data.d} coordinates, model expects {model.d}")
     unit = data.transformed(model.transforms)
@@ -256,25 +247,20 @@ def cmd_refine(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    if args.direction == "forward":
-        if not args.schema:
-            raise _UsageError("forward transform requires --schema")
-        data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
-        schema = parse_schema(_read_text(args.schema))
-        specs = column_specs(schema, data.names)
-        transforms = [fit_transform(s, data.values[:, i]) for i, s in enumerate(specs)]
-        unit = data.transformed(transforms)
-        write_table(args.out if args.out else sys.stdout, data.names,
-                    unit.values, args.sep, fmt=repr)
-        if args.transforms:
-            save_transforms(data.names, transforms, args.transforms)
-        return 0
-    if not args.transforms:
+    forward = args.direction == "forward"
+    if forward and not args.schema:
+        raise _UsageError("forward transform requires --schema")
+    if not forward and not args.transforms:
         raise _UsageError("backward transform requires --transforms")
-    data = load_table(args.input, _missing_tokens(args.missing_tokens), args.sep)
-    back = data.transformed(load_transforms(args.transforms, data.d), invert=True)
-    write_table(args.out if args.out else sys.stdout, data.names,
-                back.values, args.sep, fmt=repr)
+    data = load_table(args.input, args.missing_tokens, args.sep)
+    if forward:
+        _, transforms = _declared(data, args.schema)
+        out = data.transformed(transforms)
+    else:
+        out = data.transformed(load_transforms(args.transforms, data.d), invert=True)
+    write_table(args.out if args.out else sys.stdout, data.names, out.values, args.sep, fmt=repr)
+    if forward and args.transforms:
+        save_transforms(data.names, transforms, args.transforms)
     return 0
 
 
@@ -312,7 +298,7 @@ def _build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--sep", default=",", help="cell separator (default ,)")
-    common.add_argument("--missing-tokens", default=None,
+    common.add_argument("--missing-tokens", type=_missing_tokens, default=DEFAULT_MISSING_TOKENS,
                         help="comma list of missing-value tokens (empty cell always counts)")
 
     p = sub.add_parser("fit", parents=[common], help="fit a model to a table")

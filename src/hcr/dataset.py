@@ -8,6 +8,7 @@ squash, empirical CDF, category grid) and back.
 from __future__ import annotations
 
 import csv
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, filterfalse, islice, repeat, zip_longest
@@ -384,37 +385,55 @@ def parse_schema(text: str) -> dict[str, ColumnSpec]:
         x2: trig logistic
         x3: legendre rescale 0 10
         grade: discrete 1 2 3
-    Blank lines and lines starting with # are skipped.
+    Blank lines and lines starting with # are skipped.  Categories and
+    transform arguments are finite numbers; an error names the line.
     """
     out: dict[str, ColumnSpec] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if ":" not in line:
-            raise ValueError(f"schema line {lineno}: expected `name: ...`")
-        name, rest = line.split(":", 1)
-        name = name.strip()
-        words = rest.split()
-        if not words:
-            raise ValueError(f"schema line {lineno}: empty declaration")
-        family = words[0]
-        if family == "discrete":
-            cats = tuple(float(w) for w in words[1:])
-            if len(cats) < 2:
-                raise ValueError(f"schema line {lineno}: discrete needs >= 2 category values")
-            out[name] = ColumnSpec(name, "discrete", cats, "grid", cats)
-            continue
-        if family not in ("legendre", "trig"):
-            raise ValueError(f"schema line {lineno}: unknown family {family!r}")
-        transform = words[1] if len(words) > 1 else "none"
-        args = tuple(float(w) for w in words[2:])
-        if transform not in ("none", "rescale", "logistic", "cdf"):
-            raise ValueError(f"schema line {lineno}: unknown transform {transform!r}")
-        if transform == "rescale" and args and len(args) != 2:
-            raise ValueError(f"schema line {lineno}: rescale takes `lo hi`")
-        out[name] = ColumnSpec(name, family, None, transform, args)
+        try:
+            if ":" not in line:
+                raise ValueError("expected `name: ...`")
+            name, rest = line.split(":", 1)
+            name = name.strip()
+            words = rest.split()
+            if not words:
+                raise ValueError("empty declaration")
+            family = words[0]
+            if family == "discrete":
+                cats = tuple(map(_finite, words[1:]))
+                if len(cats) < 2:
+                    raise ValueError("discrete needs >= 2 category values")
+                CategoryGrid(cats)  # repeated categories fail here, where the line is known
+                out[name] = ColumnSpec(name, "discrete", cats, "grid", cats)
+                continue
+            if family not in ("legendre", "trig"):
+                raise ValueError(f"unknown family {family!r}")
+            transform = words[1] if len(words) > 1 else "none"
+            if transform not in ("none", "rescale", "logistic", "cdf"):
+                raise ValueError(f"unknown transform {transform!r}")
+            args = tuple(map(_finite, words[2:]))
+            if transform == "rescale" and args:
+                if len(args) != 2:
+                    raise ValueError("rescale takes `lo hi`")
+                Rescale(*args)  # lo >= hi fails here, too
+            out[name] = ColumnSpec(name, family, None, transform, args)
+        except ValueError as exc:
+            raise ValueError(f"schema line {lineno}: {exc}") from None
     return out
+
+
+def _finite(word: str) -> float:
+    """word as a float; an error unless it is a finite number."""
+    try:
+        value = float(word)
+    except ValueError:
+        raise ValueError(f"{word!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{word!r} is not a finite number")
+    return value
 
 
 def column_specs(schema: dict[str, ColumnSpec], names) -> list[ColumnSpec]:

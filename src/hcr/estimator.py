@@ -57,8 +57,8 @@ class Model:
     read-only views of them keyed by multi-index, evidence one of count
     keyed by support, and the constructor takes either form.  A mapping
     may omit the constant, and any index but a coefficient's; an absent
-    support has evidence 0.  A model copies the statistics it is given
-    and is never mutated.
+    support has evidence 0, and one support's counts must agree.  A model
+    copies the statistics it is given and is never mutated.
     """
 
     def __init__(self, spec: BasisSpec, coefficients, evidence, uncertainty, flags=None,
@@ -71,6 +71,11 @@ class Model:
             raise ValueError(f"coefficient of {spec.selected[bad]} is not finite")
         self.unc = np.array(_aligned(spec, uncertainty, 0.0, float("nan")), dtype=float)
         self.count = np.array(_aligned(spec, evidence, 0, 0, support), dtype=np.int64)
+        first = self.count[spec.first]
+        if (self.count != first).any():
+            p = int(np.argmax(self.count != first))
+            raise ValueError(f"support {support(spec.selected[p])} has evidence {first[p]} "
+                             f"and {self.count[p]}")
         for vec in (self.coef, self.unc, self.count):
             vec.setflags(write=False)
         self.term_flags = tuple(_aligned(spec, {} if flags is None else flags, "", ""))

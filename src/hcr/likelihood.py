@@ -156,26 +156,23 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
     Aborts after 60 shrinks.
     """
     ws = _Workspace(model, data)
-    coef = model.coef
-    nonconst = model.spec.orders.any(axis=1)
+    coef = model.coef  # coef[0], the constant's, stays 1: its gradient entry is 0
     all_complete = 0 < ws.complete_rows.size == ws.usable.size
     rho = ws.densities(coef)
     _check_positive(rho)
 
     def objective(c, r):
         f = ws.loglik(r)
-        return f, f - config.ridge * float(np.sum(c[nonconst] ** 2))
+        return f, f - config.ridge * float(np.sum(c[1:] ** 2))
 
     trace: list[TraceStep] = []
     _, current_obj = objective(coef, rho)
     for step in range(config.steps):
         g = ws.gradient_vector(rho)
-        g[nonconst] -= 2.0 * config.ridge * coef[nonconst]
-        g[~nonconst] = 0.0
+        g[1:] -= 2.0 * config.ridge * coef[1:]
         scale = config.step_size
         for attempt in range(MAX_BACKTRACKS + 1):
             candidate = coef + scale * g
-            candidate[~nonconst] = coef[~nonconst]
             cand_rho = ws.densities(candidate)
             used = cand_rho[ws.usable]
             positive = (not used.size) or np.min(used) >= config.positivity_margin

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .basis1d import Family1D
-from .dataset import Identity, transform_from_tokens
+from .dataset import Identity, _opened, transform_from_tokens
 from .errors import TableError
 from .estimator import Model
 from .tensor_basis import BasisSpec, _check_index, support
@@ -34,19 +34,24 @@ def _name(names, i: int) -> str:
 
 
 def _write(lines: list[str], dest) -> None:
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w") as fh:
-            fh.write(text)
+    with _opened(dest, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _read(source) -> list[str]:
-    if hasattr(source, "read"):
-        return source.read().splitlines()
-    with open(source) as fh:
+    with _opened(source, "r") as fh:
         return fh.read().splitlines()
+
+
+def _column(parts, d: int, seen: dict, lineno: int) -> int:
+    """A `column` line's index: in [0, d) and not in seen, which maps it to its line."""
+    i = int(parts[1])
+    if not 0 <= i < d:
+        raise ValueError(f"column index {i} out of range")
+    if i in seen:
+        raise ValueError(f"duplicate column {i} (first on line {seen[i]})")
+    seen[i] = lineno
+    return i
 
 
 def save_model(model: Model, dest) -> None:
@@ -54,11 +59,9 @@ def save_model(model: Model, dest) -> None:
     names = model.coordinate_names()
     transforms = model.transforms or [Identity() for _ in range(model.d)]
     lines = [f"{MAGIC} {FORMAT_VERSION}", f"dim {model.d}"]
-    for i in range(model.d):
-        fam = model.spec.families[i]
+    for i, (fam, tr) in enumerate(zip(model.spec.families, transforms, strict=True)):
         lines.append(" ".join(["column", str(i), _name(names, i), fam.kind, str(fam.max_order),
-                               "-" if fam.v is None else str(fam.v),
-                               *transforms[i].tokens()]))
+                               "-" if fam.v is None else str(fam.v), *tr.tokens()]))
     for j, a, n, u, flag in zip(model.spec.selected, model.coef, model.count.tolist(),
                                 model.unc, model.term_flags):
         lines.append(" ".join(["coef", ",".join(map(str, j)), _fmt(a), str(n), _fmt(u),
@@ -80,21 +83,15 @@ def load_transforms(source, d: int) -> list:
     if not lines or lines[0].strip() != TRANSFORMS_MAGIC:
         raise TableError("not a transforms file (bad magic line)")
     transforms = [Identity() for _ in range(d)]
-    first = {}  # column -> its line number
+    seen = {}
     for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
         parts = raw.split()
+        if not parts:
+            continue
         try:
             if parts[0] != "column" or len(parts) < 4:
                 raise ValueError("expected 'column <index> <name> <transform...>'")
-            i = int(parts[1])
-            if not 0 <= i < d:
-                raise ValueError(f"transform column {i} out of range")
-            if i in first:
-                raise ValueError(f"duplicate column {i} (first on line {first[i]})")
-            first[i] = lineno
-            transforms[i] = transform_from_tokens(parts[3:])
+            transforms[_column(parts, d, seen, lineno)] = transform_from_tokens(parts[3:])
         except (IndexError, ValueError) as exc:
             raise TableError(f"transforms file line {lineno}: {exc}") from None
     return transforms
@@ -121,56 +118,47 @@ def load_model(source) -> Model:
         raise ValueError(f"model file line 2: bad dimension {dim[1]!r}") from None
     if d < 1:
         raise ValueError(f"model file line 2: dimension {d} is not positive")
-    columns = {}  # coordinate -> (line number, name, family, transform)
-    selected = {}  # multi-index -> its line number
-    coefficients = {}
-    evidence = {}
-    uncertainty = {}
-    flags = {}
+    seen, columns = {}, {}  # coordinate -> its line; -> (name, family, transform)
+    coefs = {}  # multi-index -> (line, coefficient, evidence, uncertainty, flag)
+    evidence = {}  # support -> (evidence, the line of its first coef)
     for lineno, raw in enumerate(lines[2:], start=3):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         try:
             if parts[0] == "column":
-                i = int(parts[1])
-                if not 0 <= i < d:
-                    raise ValueError(f"column index {i} out of range")
-                if i in columns:
-                    raise ValueError(f"duplicate column {i} (first on line {columns[i][0]})")
+                i = _column(parts, d, seen, lineno)
                 family = Family1D(parts[3], int(parts[4]),
                                   None if parts[5] == "-" else int(parts[5]))
-                columns[i] = (lineno, parts[2], family, transform_from_tokens(parts[6:]))
+                columns[i] = (parts[2], family, transform_from_tokens(parts[6:]))
             elif parts[0] == "coef":
                 j = tuple(int(t) for t in parts[1].split(","))
                 if len(j) != d:
                     raise ValueError(f"multi-index {parts[1]} is not length {d}")
-                if j in selected:
-                    raise ValueError(f"duplicate coef {parts[1]} (first on line {selected[j]})")
-                selected[j] = lineno
-                coefficients[j] = float(parts[2])
-                if not math.isfinite(coefficients[j]):
+                if j in coefs:
+                    raise ValueError(f"duplicate coef {parts[1]} (first on line {coefs[j][0]})")
+                a = float(parts[2])
+                if not math.isfinite(a):
                     raise ValueError(f"coefficient {parts[2]} is not finite")
-                s, n = support(j), int(parts[3])
-                if evidence.setdefault(s, n) != n:
-                    first = next(selected[k] for k in selected if support(k) == s)
-                    raise ValueError(f"evidence {n} disagrees with {evidence[s]} on line "
-                                     f"{first}, which has the same support")
-                uncertainty[j] = float(parts[4])
-                flags[j] = "" if parts[5] == "-" else parts[5]
+                n = int(parts[3])
+                m, first = evidence.setdefault(support(j), (n, lineno))
+                if m != n:
+                    raise ValueError(f"evidence {n} disagrees with {m} on line {first}, "
+                                     "which has the same support")
+                coefs[j] = (lineno, a, n, float(parts[4]), "" if parts[5] == "-" else parts[5])
             else:
                 raise ValueError(f"unknown record {parts[0]!r}")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"model file line {lineno}: {exc}") from None
     if len(columns) != d:
         raise ValueError(f"model file has column lines for {len(columns)} of {d} coordinates")
-    _, names, families, transforms = zip(*(columns[i] for i in range(d)))
-    for j, lineno in selected.items():
+    names, families, transforms = zip(*(columns[i] for i in range(d)))
+    for j, (lineno, *_) in coefs.items():
         try:
             _check_index(j, families)
         except ValueError as exc:
             raise ValueError(f"model file line {lineno}: {exc}") from None
-    spec = BasisSpec(d, families, tuple(selected))
-    return Model(spec, coefficients, evidence, uncertainty, flags,
-                 transforms=list(transforms), names=names)
+    spec = BasisSpec(d, families, tuple(coefs))
+    no_line = (0, 1.0, 0, 0.0, "")  # the constant, when no coef line holds it
+    _, coef, count, unc, flags = zip(*(coefs.get(j, no_line) for j in spec.selected))
+    return Model(spec, coef, count, unc, flags, transforms=list(transforms), names=names)

@@ -59,6 +59,8 @@ class BasisSpec:
     selected is kept in canonical order and always starts with the
     all-zero index; orders is the same set as a read-only int matrix,
     row p holding the multi-index of selected[p], and touch is orders > 0.
+    The functions of one support are contiguous, and first[p] is the
+    position of the first one with selected[p]'s support.
     width is the highest family order plus one, and moments stacks each
     coordinate's _moment_table, zero-padded to (d, 3, width).  Treated as
     immutable after construction.
@@ -79,11 +81,13 @@ class BasisSpec:
         self._position = {j: k for k, j in enumerate(self.selected)}
         self.orders = np.array(self.selected, dtype=np.intp).reshape(len(self.selected), self.d)
         self.touch = self.orders > 0
+        new = np.r_[True, (self.touch[1:] != self.touch[:-1]).any(axis=1)]  # a support starts
+        self.first = np.maximum.accumulate(np.where(new, np.arange(len(new)), 0))
         self.width = max((f.max_order for f in self.families), default=0) + 1
         self.moments = np.zeros((self.d, 3, self.width))
         for k, f in enumerate(self.families):
             self.moments[k, :, :f.max_order + 1] = _moment_table(f)
-        for a in (self.orders, self.touch, self.moments):
+        for a in (self.orders, self.touch, self.first, self.moments):
             a.setflags(write=False)
         self._need = np.packbits(self.touch, axis=1).T[:, :, None]  # byte, function, 1
         self._columns = {f: [k for k, g in enumerate(self.families) if g == f]

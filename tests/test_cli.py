@@ -493,3 +493,21 @@ def test_malformed_model_file_exits_2_naming_the_problem(tmp_path, capsys, body,
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("a: discrete 1 2 x", "'x' is not a number"),
+    ("a: discrete 1 2 inf", "'inf' is not a finite number"),
+    ("a: legendre rescale 0 nan", "'nan' is not a finite number"),
+    ("a: legendre rescale 5 1", "rescale needs hi > lo"),
+    ("a: discrete 1 2 1", "duplicate category values"),
+])
+def test_fit_schema_with_a_bad_number_exits_2_naming_the_line(tmp_path, capsys, line, message):
+    data = write_sample(tmp_path)
+    schema, model = tmp_path / "schema.txt", tmp_path / "m.model"
+    schema.write_text("# a comment, then a blank line\n\n" + line + "\n")
+    assert main(["fit", "--input", str(data), "--out", str(model), "--orders", "1",
+                 "--schema", str(schema)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: schema line 3: {message}\n"
+    assert captured.out == "" and not model.exists()

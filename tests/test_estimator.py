@@ -310,6 +310,20 @@ def test_model_rejects_a_mapping_key_outside_the_selected_set():
         Model(spec, coefficients, [0, 7, 7], {})
 
 
+def test_model_rejects_aligned_evidence_that_differs_within_a_support():
+    from hcr import Model
+    spec = build_full(1, legendre(2), 2)
+    with pytest.raises(ValueError, match=r"support \(0,\) has evidence 7 and 8"):
+        Model(spec, [1.0, 0.1, 0.2], [9, 7, 8], [0.0, 0.1, 0.1])
+    assert Model(spec, [1.0, 0.1, 0.2], [9, 7, 7], [0.0, 0.1, 0.1]).evidence == {(): 9, (0,): 7}
+    # the constant's count is its own, and each pair support is checked on its own
+    spec = build_full(2, legendre(2), {1: 1, 2: 2})
+    count = [5, 3, 4, 2, 2, 2, 2]
+    assert Model(spec, [0.0] * 7, count, [0.0] * 7).count.tolist() == count
+    with pytest.raises(ValueError, match=r"support \(0, 1\) has evidence 2 and 1"):
+        Model(spec, [0.0] * 7, count[:6] + [1], [0.0] * 7)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_model_rejects_non_finite_coefficients_and_allows_nan_uncertainty(bad):
     from hcr import Model

@@ -288,3 +288,24 @@ def test_transforms_file_save_load_save_is_byte_identical(tmp_path):
     assert [t.kind for t in back] == [t.kind for t in transforms]
     # a column without a line keeps the identity
     assert load_transforms(io.StringIO("hcrtransforms 1\n"), 2)[1].kind == "none"
+
+
+def test_crlf_model_and_transforms_files_load_as_with_lf(tmp_path):
+    from hcr import CategoryGrid, Logistic, Rescale
+    from hcr.model_io import load_transforms, save_transforms
+    m = fitted_model(seed=44)
+    buf = io.StringIO()
+    save_model(m, buf)
+    path = tmp_path / "crlf.model"
+    path.write_bytes(buf.getvalue().replace("\n", "\r\n").encode())
+    for source in (path, io.StringIO(path.read_bytes().decode())):
+        out = io.StringIO()
+        save_model(load_model(source), out)
+        assert out.getvalue() == buf.getvalue()
+    transforms = [Rescale(-1.0, 3.0), Logistic(), CategoryGrid([2.0, 5.0])]
+    buf = io.StringIO()
+    save_transforms(["a", "b", "c"], transforms, buf)
+    path = tmp_path / "crlf.maps"
+    path.write_bytes(buf.getvalue().replace("\n", "\r\n").encode())
+    back = load_transforms(path, 3)
+    assert [t.tokens() for t in back] == [t.tokens() for t in transforms]

@@ -1,9 +1,10 @@
 """Round trips over random inputs: model and transforms files, category grids."""
 import io
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from hcr import (NO_EVIDENCE, UNCERTAINTY_UNDEFINED, CategoryGrid, Identity,
@@ -50,9 +51,16 @@ def models(draw):
     supports = sorted({support(j) for j in spec.selected})
     evidence = {s: draw(st.integers(0, 10**6))
                 for s in draw(st.sets(st.sampled_from(supports)))}  # possibly none
+    if draw(st.booleans()):  # aligned, one count possibly off from its support's
+        evidence = [evidence.get(support(j), 0) for j in spec.selected]
+        evidence[draw(st.integers(0, n - 1))] += draw(st.integers(0, 1))
     transforms = draw(st.one_of(st.none(), transform_lists(d)))
     names = draw(st.one_of(st.none(), st.lists(NAMES, min_size=d, max_size=d).map(tuple)))
-    return Model(spec, coef, evidence, unc, flags, transforms=transforms, names=names)
+    try:
+        return Model(spec, coef, evidence, unc, flags, transforms=transforms, names=names)
+    except ValueError as exc:  # counts that disagree within a support: no model to save
+        assert re.fullmatch(r"support \(.*\) has evidence \d+ and \d+", str(exc))
+        reject()
 
 
 @given(models())

@@ -157,6 +157,11 @@ def test_supports_grouping():
     assert set(groups) == {(0,), (1,), (0, 1)}
     assert groups[(0,)] == [(1, 0), (2, 0)]
     assert groups[(0, 1)] == [(1, 1)]
+    # first: the position where each function's support starts
+    mixed = build_full(3, (legendre(3), trig(2), discrete(3)), {1: 2, 2: 2, 3: 1})
+    for s in (spec, mixed):
+        want = [[support(k) for k in s.selected].index(support(j)) for j in s.selected]
+        assert s.first.tolist() == want
 
 
 def test_families_broadcast_and_length_check():
