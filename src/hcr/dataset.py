@@ -250,7 +250,8 @@ class EmpiricalCDF:
 
     Values below/above the observed range clamp to delta = 1/(2l) from
     the interval ends, so no transformed value ever reaches an exact 0
-    or 1 where the basis polynomials peak.
+    or 1 where the basis polynomials peak.  l, the sample size, is an
+    integer >= 1, and the support points are finite.
     """
 
     kind = "cdf"
@@ -258,8 +259,12 @@ class EmpiricalCDF:
     def __init__(self, xs, ps, l: int):
         xs = np.asarray(xs, dtype=float)
         ps = np.asarray(ps, dtype=float)
+        if not isinstance(l, (int, np.integer)) or l < 1:
+            raise ValueError(f"cdf sample size must be an integer >= 1, got {l}")
         if xs.size < 2 or xs.size != ps.size:
             raise ValueError("need matching xs/ps with at least 2 support points")
+        if not (np.isfinite(xs).all() and np.isfinite(ps).all()):
+            raise ValueError("cdf support points must be finite")
         if np.any(np.diff(xs) <= 0) or np.any(np.diff(ps) <= 0):
             raise ValueError("cdf support must be strictly increasing")
         self.xs = xs
@@ -386,9 +391,11 @@ def parse_schema(text: str) -> dict[str, ColumnSpec]:
         x3: legendre rescale 0 10
         grade: discrete 1 2 3
     Blank lines and lines starting with # are skipped.  Categories and
-    transform arguments are finite numbers; an error names the line.
+    transform arguments are finite numbers, and a name is declared once;
+    an error names the line.
     """
     out: dict[str, ColumnSpec] = {}
+    seen: dict[str, int] = {}  # name -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -398,6 +405,9 @@ def parse_schema(text: str) -> dict[str, ColumnSpec]:
                 raise ValueError("expected `name: ...`")
             name, rest = line.split(":", 1)
             name = name.strip()
+            if name in seen:
+                raise ValueError(f"duplicate name {name!r} (first on line {seen[name]})")
+            seen[name] = lineno
             words = rest.split()
             if not words:
                 raise ValueError("empty declaration")

@@ -228,9 +228,10 @@ def _clusters(family: Family1D, coef: np.ndarray, extremes: tuple) -> list[list[
 
     A discrete slice seeds one cluster per grid value.  A continuous one
     is cut at the ends and at each stationary point whose value is below
-    both neighbouring candidates'; every (row, interval) mass and mean
-    comes from one 48-node Gauss rule.  Slivers then merge by
-    _merge_slivers, row by row.
+    the lower neighbouring candidate's by more than 1e-12 times the row's
+    largest |candidate value|, so a slice flat up to rounding is one
+    interval; every (row, interval) mass and mean comes from one 48-node
+    Gauss rule.  Slivers then merge by _merge_slivers, row by row.
     """
     *_, xs, distinct, values = extremes
     row, c, v = distinct.nonzero()[0], xs[distinct], values[distinct]  # row by row, ascending
@@ -238,8 +239,9 @@ def _clusters(family: Family1D, coef: np.ndarray, extremes: tuple) -> list[list[
         lo = hi = mean = c
         mass = v / family.v
     else:  # a row's candidates are 0, its stationary points, 1
+        tie = 1e-12 * np.abs(values).max(axis=1, where=distinct, initial=0.0)[row]
         cut = np.ones(len(c), dtype=bool)  # the ends, and the points below both neighbours
-        cut[1:-1] = (row[:-2] != row[2:]) | ((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:]))
+        cut[1:-1] = (row[:-2] != row[2:]) | (v[1:-1] < np.minimum(v[:-2], v[2:]) - tie[1:-1])
         row, c = row[cut], c[cut]
         same = row[1:] == row[:-1]  # consecutive cuts of one row bound an interval
         row, lo, hi = row[1:][same], c[:-1][same], c[1:][same]

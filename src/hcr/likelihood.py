@@ -69,27 +69,65 @@ class TraceStep:
 
 
 class _Workspace:
-    """Per-record function values V (functions x records), 0 where a
-    record misses a function's support, so a record reads only the
-    functions its known set covers; counts holds each function's evidence.
+    """The zero-filled factor rows of every record, spec.factors of each
+    FIT_BLOCK row block (factor_count x rows), kept in place of the
+    function values: function p is F[prefix[p]] * F[last[p]], 0 where a
+    record misses its support, so a record reads only the functions its
+    known set covers.  counts holds each function's evidence.
+
+    The functions reduce in groups, one per level (levels 0 and 1, whose
+    prefix is the constant row, together).  A group's prefix rows and
+    last rows span two ranges of F, and its coefficients fill a small
+    matrix over them, so on each block the constant-prefix group is one
+    GEMV and every other group one GEMM, whose output has a row per last
+    row: the single factors a level ends on, few beside its prefixes.
+    BLAS orders these sums differently from coef @ V, so they differ
+    from it in the last bits.
     """
 
     def __init__(self, model: Model, data: Dataset):
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
-        present = data.present
+        spec, present = model.spec, data.present
         # evidence per function; an int32 sum skips the buffered bool-to-int64 cast
-        self.counts = model.spec.covered(present).sum(axis=1, dtype=np.int32)
-        self.V = np.empty((len(model.spec), data.n))
-        for rows in _blocks(model.spec, data.n):
-            self.V[:, rows] = model.spec.values(data.values[rows], 0)
+        self.counts = spec.covered(present).sum(axis=1, dtype=np.int32)
+        self.blocks = [(rows, spec.factors(data.values[rows], 0))
+                       for rows in _blocks(spec, data.n)]
         self.usable = present.any(axis=1)  # a fully-missing record supports nothing
         self.complete_rows = np.flatnonzero(present.all(axis=1))
+        level = np.maximum(spec.touch.sum(axis=1), 1)  # the constant joins level 1
+        edges = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(), len(spec)]
+        groups = []  # functions, prefix rows, last rows, each function's (row, column)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            a, b = spec.prefix[lo:hi], spec.last[lo:hi]
+            groups.append((slice(lo, hi), slice(a.min(), a.max() + 1),
+                           slice(b.min(), b.max() + 1), a - a.min(), b - b.min()))
+        # the constant-prefix group reads its last rows only, from row 0 (the constant's)
+        _, _, self.head, _, self.head_cols = groups[0]
+        self.groups = groups[1:]
+        # the last rows of every other group, which the gradient scales once
+        self.lasts = slice(min((g[2].start for g in self.groups), default=0),
+                           max((g[2].stop for g in self.groups), default=0))
 
     def densities(self, coef: np.ndarray) -> np.ndarray:
         """Per-record marginal density over the record's known set (1 for
         a fully-missing record)."""
-        return coef @ self.V
+        head = np.zeros(self.head.stop - self.head.start)
+        head[self.head_cols] = coef[:len(self.head_cols)]
+        mats = []
+        for fun, arows, brows, ai, bi in self.groups:  # last rows x prefix rows
+            C = np.zeros((brows.stop - brows.start, arows.stop - arows.start))
+            C[bi, ai] = coef[fun]
+            mats.append(C)
+        rho = np.empty(len(self.usable))
+        for rows, F in self.blocks:
+            r = head @ F[self.head]  # the constant-prefix group: its prefix row is 1
+            for C, (_, arows, brows, _, _) in zip(mats, self.groups):
+                T = C @ F[arows]
+                T *= F[brows]
+                r += T.sum(axis=0)
+            rho[rows] = r
+        return rho
 
     def loglik(self, rho: np.ndarray) -> float:
         if self.complete_rows.size == 0:
@@ -99,8 +137,20 @@ class _Workspace:
     def gradient_vector(self, rho: np.ndarray) -> np.ndarray:
         """Per function, the mean of f/rho over the records covering it;
         0 for the constant and for functions without evidence."""
-        sums = self.V @ (1.0 / rho)
-        grad = np.divide(sums, self.counts, out=np.zeros_like(sums), where=self.counts > 0)
+        w = 1.0 / rho
+        head = np.zeros(self.head.stop - self.head.start)
+        sums = [np.zeros((a.stop - a.start, b.stop - b.start)) for _, a, b, _, _ in self.groups]
+        lo = self.lasts.start
+        for rows, F in self.blocks:
+            head += F[self.head] @ w[rows]
+            scaled = F[self.lasts] * w[rows]
+            for G, (_, arows, brows, _, _) in zip(sums, self.groups):
+                G += F[arows] @ scaled[brows.start - lo:brows.stop - lo].T
+        out = np.empty(len(self.counts))
+        out[:len(self.head_cols)] = head[self.head_cols]
+        for G, (fun, _, _, ai, bi) in zip(sums, self.groups):
+            out[fun] = G[ai, bi]
+        grad = np.divide(out, self.counts, out=np.zeros_like(out), where=self.counts > 0)
         grad[0] = 0.0  # the constant coefficient is fixed
         return grad
 

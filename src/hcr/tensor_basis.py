@@ -62,8 +62,17 @@ class BasisSpec:
     The functions of one support are contiguous, and first[p] is the
     position of the first one with selected[p]'s support.
     width is the highest family order plus one, and moments stacks each
-    coordinate's _moment_table, zero-padded to (d, 3, width).  Treated as
-    immutable after construction.
+    coordinate's _moment_table, zero-padded to (d, 3, width).
+
+    The factor plan: factors() gives factor_count rows per point.  Row 0
+    is the constant 1; row 1 + (o-1)*d + k is coordinate k's order-o
+    function, o = 1..top (order-major, top the highest selected order);
+    then one product row per prefix of two or more factors, shorter
+    prefixes first, where a prefix is a selected function's support less
+    its last coordinate, at the orders the function has there.  Function
+    p is the product of rows prefix[p] and last[p] (prefix[p] is 0 for
+    the constant and one-factor functions, a single row for two factors).
+    Treated as immutable after construction.
     """
 
     d: int
@@ -90,15 +99,43 @@ class BasisSpec:
         for a in (self.orders, self.touch, self.first, self.moments):
             a.setflags(write=False)
         self._need = np.packbits(self.touch, axis=1).T[:, :, None]  # byte, function, 1
-        self._columns = {f: [k for k, g in enumerate(self.families) if g == f]
-                         for f in self.families}  # each family's coordinates
-        # factor l of each function with more than l factors, as a row of the
-        # table values builds; selected runs by level, so these are a tail
-        level = self.touch.sum(axis=1)
+        self._plan_factors()
+
+    def _plan_factors(self):
+        """The factor plan of the class docstring, and each family's
+        coordinates and the orders it fills."""
+        d, level = self.d, self.touch.sum(axis=1)
+        self.top = top = int(self.orders.max(initial=0))
+        self._columns = []  # family, its coordinates, k: it fills orders 1..k
+        for f in dict.fromkeys(self.families):
+            cols = [k for k, g in enumerate(self.families) if g == f]
+            if cols == list(range(cols[0], cols[-1] + 1)):
+                cols = slice(cols[0], cols[-1] + 1)  # a view, not a gather
+            self._columns.append((f, cols, min(f.max_order, top)))
         coords = np.argsort(self.orders == 0, axis=1, kind="stable")  # support, ascending
-        rows = coords * self.width + np.take_along_axis(self.orders, coords, axis=1)
-        starts = np.searchsorted(level, np.arange(1, level.max(initial=0) + 1))
-        self._factors = [(int(s), rows[s:, lvl]) for lvl, s in enumerate(starts)]
+        single = 1 + (np.take_along_axis(self.orders, coords, axis=1) - 1) * d + coords
+        # every prefix of two or more factors, keyed by its factors' rows
+        keys = {tuple(row[:length]) for row, lvl in zip(single.tolist(), level.tolist())
+                for length in range(2, lvl)}
+        keys = sorted(keys, key=lambda key: (len(key), key))
+        row_of = {key: 1 + top * d + r for r, key in enumerate(keys)}
+        self.factor_count = 1 + top * d + len(keys)
+        self._prefixes = []  # per prefix length: its rows, and their left and right factors
+        for length in range(2, level.max(initial=0)):
+            group = [key for key in keys if len(key) == length]
+            lo = row_of[group[0]]
+            self._prefixes.append((slice(lo, lo + len(group)),
+                                   np.array([row_of.get(key[:-1], key[0]) for key in group]),
+                                   np.array([key[-1] for key in group])))
+        last = np.zeros(len(level), dtype=np.intp)  # the constant's is the constant row
+        last[1:] = single[np.arange(1, len(level)), level[1:] - 1]
+        prefix = [0 if lvl < 2 else row[0] if lvl == 2 else row_of[tuple(row[:lvl - 1])]
+                  for row, lvl in zip(single.tolist(), level.tolist())]
+        self.prefix, self.last = np.array(prefix, dtype=np.intp), last
+        self._pairs = int(np.searchsorted(level, 2))  # the first function of two factors
+        self._outer = self.prefix[self._pairs:]
+        for a in (self.prefix, self.last, self._outer):
+            a.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -118,34 +155,49 @@ class BasisSpec:
             cover &= (code & need) == need
         return cover
 
-    def values(self, points, fill: float) -> np.ndarray:
-        """Every selected function at each row of an (n, d) block of
-        points, (functions, n).
+    def factors(self, points, fill: float) -> np.ndarray:
+        """The factor rows of the plan at each row of an (n, d) block of
+        points, (factor_count, n).
 
-        An order >= 1 factor at a NaN cell reads fill: 0 makes a function
-        whose support misses a cell exactly 0, 1 drops the unknown factor.
-        eval_all runs once per family and validates the known cells; the
-        support factors multiply in ascending coordinate order, so every
-        caller gets the same products.
+        An order >= 1 factor at a NaN cell reads fill.  eval_all runs
+        once per family and validates the known cells; a coordinate's
+        rows above its family's order, which no function reads, hold 0
+        (fill at a NaN cell).  Each prefix row multiplies its factors in
+        ascending coordinate order.
         """
         points = np.ascontiguousarray(np.asarray(points, dtype=float).T)  # coordinate, point
         n = points.shape[1]
         missing = np.isnan(points)
         gaps = missing.any()
         x = np.where(missing, 0.0, points) if gaps else points  # NaN reads 0, then fill
-        table = np.empty((self.d, self.width, n))  # coordinate, order, point
-        for family, cols in self._columns.items():
-            table[cols, :family.max_order + 1] = family.eval_all(x[cols]).swapaxes(0, 1)
+        F = np.empty((self.factor_count, n))
+        F[0] = 1.0  # the constant
+        singles = F[1:1 + self.top * self.d].reshape(self.top, self.d, n)  # order, coordinate
+        for family, cols, k in self._columns:
+            singles[:k, cols] = family.eval_all(x[cols])[1:k + 1]
+            if k < self.top:
+                singles[k:, cols] = 0.0
         if gaps:
-            np.copyto(table[:, 1:], fill, where=missing[:, None])
-        table = table.reshape(self.d * self.width, n)
-        out = np.empty((len(self), n))
-        out[0] = 1.0  # the constant
-        for lvl, (start, rows) in enumerate(self._factors):
-            if lvl:
-                out[start:] *= table[rows]
-            else:  # every row index is valid, so "clip" only skips numpy's buffering
-                table.take(rows, axis=0, out=out[start:], mode="clip")
+            singles[:, missing] = fill
+        for rows, left, right in self._prefixes:
+            block = F[rows]  # every row index is valid, so "clip" only skips numpy's buffering
+            F.take(left, axis=0, out=block, mode="clip")
+            block *= F[right]
+        return F
+
+    def values(self, points, fill: float) -> np.ndarray:
+        """Every selected function at each row of an (n, d) block of
+        points, (functions, n): the product of its prefix and last rows
+        of factors(points, fill).
+
+        With fill 0 a function whose support misses a cell is exactly 0;
+        with fill 1 the unknown factors drop out.  The support factors
+        multiply in ascending coordinate order, so every caller gets the
+        same products.
+        """
+        F = self.factors(points, fill)
+        out = F.take(self.last, axis=0)
+        out[self._pairs:] *= F[self._outer]
         return out
 
     def eval_function(self, j: MultiIndex, x: Sequence[float]) -> float:

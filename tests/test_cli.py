@@ -495,6 +495,21 @@ def test_malformed_model_file_exits_2_naming_the_problem(tmp_path, capsys, body,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("transform, message", [
+    ("cdf 0 0 0.25 1 0.75", "cdf sample size must be an integer >= 1, got 0"),
+    ("cdf 2 0 nan 1 0.75", "cdf support points must be finite"),
+])
+def test_density_on_a_model_with_a_bad_cdf_exits_2_naming_the_line(tmp_path, capsys,
+                                                                     transform, message):
+    model = tmp_path / "m.model"
+    model.write_text(f"hcrmodel 1\ndim 1\ncolumn 0 x legendre 1 - {transform}\n"
+                     "coef 0 1 4 0 -\ncoef 1 0.1 4 0.01 -\n")
+    assert main(["density", "--model", str(model), "--point", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert f"model file line 3: {message}" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("line, message", [
     ("a: discrete 1 2 x", "'x' is not a number"),
     ("a: discrete 1 2 inf", "'inf' is not a finite number"),

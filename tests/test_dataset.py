@@ -227,6 +227,24 @@ def test_parse_schema_validation():
         parse_schema("g: discrete 1")  # one category
 
 
+def test_parse_schema_rejects_a_repeated_name_naming_both_lines():
+    with pytest.raises(ValueError) as err:
+        parse_schema("a: legendre cdf\nb: trig\n\na: trig\n")
+    assert str(err.value) == "schema line 4: duplicate name 'a' (first on line 1)"
+
+
+@pytest.mark.parametrize("xs, ps, l, message", [
+    ([0.0, 1.0], [0.25, 0.75], 0, "integer >= 1"),
+    ([0.0, 1.0], [0.25, 0.75], -3, "integer >= 1"),
+    ([0.0, 1.0], [0.25, 0.75], 2.0, "integer >= 1"),
+    ([0.0, np.nan], [0.25, 0.75], 2, "finite"),
+    ([0.0, 1.0], [0.25, np.inf], 2, "finite"),
+])
+def test_empirical_cdf_rejects_a_bad_sample_size_or_support(xs, ps, l, message):
+    with pytest.raises(ValueError, match=message):
+        EmpiricalCDF(xs, ps, l)
+
+
 def test_column_specs_ordering_and_defaults():
     schema = parse_schema("b: trig\n")
     specs = column_specs(schema, ("a", "b"))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hcr import (NO_EVIDENCE, UNCERTAINTY_UNDEFINED, BasisSpec, Dataset, adapt,
                  build_full, discrete, estimator, fit, lambda_schedule, legendre,
                  prune, support, trig)
+from hcr.likelihood import _Workspace
 
 SQ3 = math.sqrt(3.0)
 SQ5 = math.sqrt(5.0)
@@ -439,3 +440,21 @@ def _fit_peak_mb(n):
 def test_fit_memory_does_not_grow_with_the_record_count():
     small, large = _fit_peak_mb(20_000), _fit_peak_mb(80_000)
     assert large < 1.5 * small, (small, large)
+
+
+def test_refine_workspace_holds_factors_not_function_values():
+    rng = np.random.default_rng([7, 20_000])
+    x = rng.beta(2.0, 3.0, size=(20_000, 6))
+    x[rng.random(x.shape) < 0.2] = np.nan
+    spec = build_full(6, legendre(4), {1: 4, 2: 2, 3: 1, 4: 0, 5: 0, 6: 0})
+    data = Dataset(x)
+    model = fit(spec, data)
+    tracemalloc.start()
+    try:
+        ws = _Workspace(model, data)
+        ws.gradient_vector(ws.densities(model.coef))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the function values alone would take len(spec) * n * 8 bytes
+    assert peak < len(spec) * len(x) * 8 / 2, peak
