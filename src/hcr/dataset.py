@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, filterfalse, islice, repeat, zip_longest
 
 import numpy as np
@@ -373,13 +373,15 @@ def transform_from_tokens(tokens) -> object:
 
 @dataclass
 class ColumnSpec:
-    """Declared handling of one coordinate: family kind plus transform."""
+    """Declared handling of one coordinate: family kind plus transform,
+    and the schema line it was read from (None for a default)."""
 
     name: str
     family: str = "legendre"
     categories: tuple[float, ...] | None = None
     transform: str = "none"
     args: tuple[float, ...] = ()
+    line: int | None = field(default=None, compare=False)
 
 
 def parse_schema(text: str) -> dict[str, ColumnSpec]:
@@ -417,7 +419,7 @@ def parse_schema(text: str) -> dict[str, ColumnSpec]:
                 if len(cats) < 2:
                     raise ValueError("discrete needs >= 2 category values")
                 CategoryGrid(cats)  # repeated categories fail here, where the line is known
-                out[name] = ColumnSpec(name, "discrete", cats, "grid", cats)
+                out[name] = ColumnSpec(name, "discrete", cats, "grid", cats, lineno)
                 continue
             if family not in ("legendre", "trig"):
                 raise ValueError(f"unknown family {family!r}")
@@ -429,7 +431,7 @@ def parse_schema(text: str) -> dict[str, ColumnSpec]:
                 if len(args) != 2:
                     raise ValueError("rescale takes `lo hi`")
                 Rescale(*args)  # lo >= hi fails here, too
-            out[name] = ColumnSpec(name, family, None, transform, args)
+            out[name] = ColumnSpec(name, family, None, transform, args, lineno)
         except ValueError as exc:
             raise ValueError(f"schema line {lineno}: {exc}") from None
     return out
@@ -447,10 +449,12 @@ def _finite(word: str) -> float:
 
 
 def column_specs(schema: dict[str, ColumnSpec], names) -> list[ColumnSpec]:
-    """Per-column specs in table order; unlisted columns get the default."""
-    unknown = set(schema) - set(names)
+    """Per-column specs in table order; unlisted columns get the default.
+    A schema name that is not a column is an error naming its line."""
+    unknown = [spec for name, spec in schema.items() if name not in names]
     if unknown:
-        raise ValueError(f"schema names not in table: {sorted(unknown)}")
+        where = "" if unknown[0].line is None else f"schema line {unknown[0].line}: "
+        raise ValueError(f"{where}schema names not in table: {[s.name for s in unknown]}")
     return [schema.get(name, ColumnSpec(name)) for name in names]
 
 

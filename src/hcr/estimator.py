@@ -158,6 +158,7 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
         coef += delta * share
         m2 += np.einsum("pr,pr->p", V, V) + delta * delta * count * share
         count += c
+        del V, cover  # so the next block's values are built without these
     unc = np.sqrt(np.divide(m2, count * (count - 1), out=np.full_like(m2, np.nan), where=count > 1))
     flags = np.where(count == 0, NO_EVIDENCE, np.where(count == 1, UNCERTAINTY_UNDEFINED, ""))
     unc[0], flags[0] = 0.0, ""

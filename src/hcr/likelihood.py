@@ -18,7 +18,7 @@ from .dataset import Dataset
 from .density import evaluate, evaluate_points
 from .errors import NonpositiveMassError, PositivityError
 from .estimator import Model, _blocks
-from .tensor_basis import MultiIndex
+from .tensor_basis import MultiIndex, _prefix_products
 
 __all__ = [
     "RefineConfig",
@@ -69,90 +69,129 @@ class TraceStep:
 
 
 class _Workspace:
-    """The zero-filled factor rows of every record, spec.factors of each
-    FIT_BLOCK row block (factor_count x rows), kept in place of the
-    function values: function p is F[prefix[p]] * F[last[p]], 0 where a
-    record misses its support, so a record reads only the functions its
-    known set covers.  counts holds each function's evidence.
+    """The zero-filled single factor rows of every record, kept per
+    FIT_BLOCK row block in place of the function values: function p is
+    its prefix row times its last row, 0 where a record misses its
+    support, so a record reads only the functions its known set covers.
+    Only the single rows some function or prefix reads are kept, and
+    each pass rebuilds a block's prefix rows (spec._prefixes, with its
+    single rows renumbered among the kept ones) in one buffer sized for
+    one block.  counts holds each function's evidence, taken block by
+    block.
 
-    The functions reduce in groups, one per level (levels 0 and 1, whose
-    prefix is the constant row, together).  A group's prefix rows and
-    last rows span two ranges of F, and its coefficients fill a small
-    matrix over them, so on each block the constant-prefix group is one
-    GEMV and every other group one GEMM, whose output has a row per last
-    row: the single factors a level ends on, few beside its prefixes.
-    BLAS orders these sums differently from coef @ V, so they differ
-    from it in the last bits.
+    The functions reduce in groups, one per level.  A group's prefix
+    rows and last rows span two ranges (its prefixes are single rows at
+    level 2 and product rows above), and its coefficients fill a small
+    matrix over them, so on each block the one-factor functions are one
+    GEMV, the constant a scalar, and every other level one GEMM, whose
+    output has a row per last row: the single factors a level ends on,
+    few beside its prefixes.  BLAS orders these sums differently from
+    coef @ V, so they differ from it in the last bits.
     """
 
     def __init__(self, model: Model, data: Dataset):
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
-        spec, present = model.spec, data.present
-        # evidence per function; an int32 sum skips the buffered bool-to-int64 cast
-        self.counts = spec.covered(present).sum(axis=1, dtype=np.int32)
-        self.blocks = [(rows, spec.factors(data.values[rows], 0))
-                       for rows in _blocks(spec, data.n)]
-        self.usable = present.any(axis=1)  # a fully-missing record supports nothing
-        self.complete_rows = np.flatnonzero(present.all(axis=1))
-        level = np.maximum(spec.touch.sum(axis=1), 1)  # the constant joins level 1
-        edges = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(), len(spec)]
-        groups = []  # functions, prefix rows, last rows, each function's (row, column)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            a, b = spec.prefix[lo:hi], spec.last[lo:hi]
-            groups.append((slice(lo, hi), slice(a.min(), a.max() + 1),
-                           slice(b.min(), b.max() + 1), a - a.min(), b - b.min()))
-        # the constant-prefix group reads its last rows only, from row 0 (the constant's)
-        _, _, self.head, _, self.head_cols = groups[0]
-        self.groups = groups[1:]
-        # the last rows of every other group, which the gradient scales once
-        self.lasts = slice(min((g[2].start for g in self.groups), default=0),
-                           max((g[2].stop for g in self.groups), default=0))
+        spec, n = model.spec, data.n
+        level, top = spec.touch.sum(axis=1), spec.top * spec.d
+        # the single rows read: by a last factor, a two-factor prefix or a product row
+        read = np.zeros(top, dtype=bool)
+        for rows in (spec.last[1:] - 1, spec.prefix[level == 2] - 1,
+                     *(left for _, left, _ in spec._prefixes[:1]),
+                     *(right for _, _, right in spec._prefixes)):
+            read[rows] = True
+        kept = np.flatnonzero(read)
+        self.plan = [(rows, left if k else np.searchsorted(kept, left),
+                      np.searchsorted(kept, right))
+                     for k, (rows, left, right) in enumerate(spec._prefixes)]
+        self.products = spec.factor_count - 1 - top
+        self.counts = np.zeros(len(spec), dtype=np.int64)
+        self.usable, self.complete = np.empty((2, n), dtype=bool)
+        self.blocks = []
+        for rows in _blocks(spec, n):
+            x = data.values[rows]
+            present = ~np.isnan(x)
+            # an int32 sum skips the buffered bool-to-int64 cast
+            self.counts += spec.covered(present).sum(axis=1, dtype=np.int32)
+            self.usable[rows] = present.any(axis=1)  # a fully-missing record supports nothing
+            self.complete[rows] = present.all(axis=1)
+            S = spec._singles(x, 0)
+            self.blocks.append((rows, S if len(kept) == top else S[kept]))
+        last = np.searchsorted(kept, spec.last - 1)
+        prefix = np.where(level == 2, np.searchsorted(kept, spec.prefix - 1),
+                          spec.prefix - 1 - top)
+        bounds = np.searchsorted(level, np.arange(1, level.max(initial=1) + 2)).tolist()
+        self.head_funs = slice(bounds[0], bounds[1])  # the one-factor functions
+        self.head, self.head_cols = _span(last[self.head_funs])
+        self.groups = []  # functions, level, prefix rows, last rows, each function's (row, column)
+        for lvl, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), start=2):
+            if lo < hi:
+                (arows, ai), (brows, bi) = _span(prefix[lo:hi]), _span(last[lo:hi])
+                self.groups.append((slice(lo, hi), lvl, arows, brows, ai, bi))
+        # the last rows of every group above, which the gradient scales once
+        self.lasts = slice(min((g[3].start for g in self.groups), default=0),
+                           max((g[3].stop for g in self.groups), default=0))
+
+    def _passes(self):
+        """Each block's rows, single rows and product rows, the last
+        rebuilt in one buffer sized for the first, largest block."""
+        buffer = np.empty(self.products * (self.blocks[0][1].shape[1] if self.blocks else 0))
+        for rows, S in self.blocks:
+            P = buffer[:self.products * S.shape[1]].reshape(self.products, S.shape[1])
+            _prefix_products(self.plan, S, P)
+            yield rows, S, P
 
     def densities(self, coef: np.ndarray) -> np.ndarray:
         """Per-record marginal density over the record's known set (1 for
         a fully-missing record)."""
         head = np.zeros(self.head.stop - self.head.start)
-        head[self.head_cols] = coef[:len(self.head_cols)]
+        head[self.head_cols] = coef[self.head_funs]
         mats = []
-        for fun, arows, brows, ai, bi in self.groups:  # last rows x prefix rows
+        for fun, _, arows, brows, ai, bi in self.groups:  # last rows x prefix rows
             C = np.zeros((brows.stop - brows.start, arows.stop - arows.start))
             C[bi, ai] = coef[fun]
             mats.append(C)
         rho = np.empty(len(self.usable))
-        for rows, F in self.blocks:
-            r = head @ F[self.head]  # the constant-prefix group: its prefix row is 1
-            for C, (_, arows, brows, _, _) in zip(mats, self.groups):
-                T = C @ F[arows]
-                T *= F[brows]
+        for rows, S, P in self._passes():
+            r = head @ S[self.head]
+            r += coef[0]  # the constant
+            for C, (_, lvl, arows, brows, _, _) in zip(mats, self.groups):
+                T = C @ (S if lvl == 2 else P)[arows]
+                T *= S[brows]
                 r += T.sum(axis=0)
             rho[rows] = r
         return rho
 
     def loglik(self, rho: np.ndarray) -> float:
-        if self.complete_rows.size == 0:
+        if not self.complete.any():
             return float("nan")
-        return float(np.mean(np.log(rho[self.complete_rows])))
+        return float(np.mean(np.log(rho[self.complete])))
 
     def gradient_vector(self, rho: np.ndarray) -> np.ndarray:
         """Per function, the mean of f/rho over the records covering it;
         0 for the constant and for functions without evidence."""
-        w = 1.0 / rho
         head = np.zeros(self.head.stop - self.head.start)
-        sums = [np.zeros((a.stop - a.start, b.stop - b.start)) for _, a, b, _, _ in self.groups]
+        sums = [np.zeros((a.stop - a.start, b.stop - b.start)) for _, _, a, b, _, _ in self.groups]
         lo = self.lasts.start
-        for rows, F in self.blocks:
-            head += F[self.head] @ w[rows]
-            scaled = F[self.lasts] * w[rows]
-            for G, (_, arows, brows, _, _) in zip(sums, self.groups):
-                G += F[arows] @ scaled[brows.start - lo:brows.stop - lo].T
-        out = np.empty(len(self.counts))
-        out[:len(self.head_cols)] = head[self.head_cols]
-        for G, (fun, _, _, ai, bi) in zip(sums, self.groups):
+        for rows, S, P in self._passes():
+            w = 1.0 / rho[rows]
+            head += S[self.head] @ w
+            scaled = S[self.lasts] * w
+            for G, (_, lvl, arows, brows, _, _) in zip(sums, self.groups):
+                G += (S if lvl == 2 else P)[arows] @ scaled[brows.start - lo:brows.stop - lo].T
+        out = np.zeros(len(self.counts))
+        out[self.head_funs] = head[self.head_cols]
+        for G, (fun, _, _, _, ai, bi) in zip(sums, self.groups):
             out[fun] = G[ai, bi]
         grad = np.divide(out, self.counts, out=np.zeros_like(out), where=self.counts > 0)
         grad[0] = 0.0  # the constant coefficient is fixed
         return grad
+
+
+def _span(rows: np.ndarray):
+    """The range of rows a group reads, and each function's row in it."""
+    lo = int(rows.min()) if rows.size else 0
+    return slice(lo, int(rows.max()) + 1 if rows.size else 0), rows - lo
 
 
 def log_likelihood(model: Model, data: Dataset) -> float:
@@ -207,7 +246,7 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
     """
     ws = _Workspace(model, data)
     coef = model.coef  # coef[0], the constant's, stays 1: its gradient entry is 0
-    all_complete = 0 < ws.complete_rows.size == ws.usable.size
+    all_complete = ws.complete.size > 0 and bool(ws.complete.all())
     rho = ws.densities(coef)
     _check_positive(rho)
 

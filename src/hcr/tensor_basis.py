@@ -66,13 +66,13 @@ class BasisSpec:
 
     The factor plan: factors() gives factor_count rows per point.  Row 0
     is the constant 1; row 1 + (o-1)*d + k is coordinate k's order-o
-    function, o = 1..top (order-major, top the highest selected order);
-    then one product row per prefix of two or more factors, shorter
-    prefixes first, where a prefix is a selected function's support less
-    its last coordinate, at the orders the function has there.  Function
-    p is the product of rows prefix[p] and last[p] (prefix[p] is 0 for
-    the constant and one-factor functions, a single row for two factors).
-    Treated as immutable after construction.
+    function, o = 1..top (order-major, top the highest selected order),
+    the single rows; then one product row per prefix of two or more
+    factors, shorter prefixes first, where a prefix is a selected
+    function's support less its last coordinate, at the orders the
+    function has there.  Function p is the product of rows prefix[p] and
+    last[p] (prefix[p] is 0 for the constant and one-factor functions, a
+    single row for two factors).  Treated as immutable after construction.
     """
 
     d: int
@@ -118,15 +118,19 @@ class BasisSpec:
         keys = {tuple(row[:length]) for row, lvl in zip(single.tolist(), level.tolist())
                 for length in range(2, lvl)}
         keys = sorted(keys, key=lambda key: (len(key), key))
-        row_of = {key: 1 + top * d + r for r, key in enumerate(keys)}
+        at = {key: r for r, key in enumerate(keys)}  # a prefix's row among the product rows
+        row_of = {key: 1 + top * d + r for key, r in at.items()}
         self.factor_count = 1 + top * d + len(keys)
-        self._prefixes = []  # per prefix length: its rows, and their left and right factors
+        # per prefix length, the plan of _prefix_products, its rows counted
+        # from the first single row and the first product row
+        self._prefixes = []
         for length in range(2, level.max(initial=0)):
             group = [key for key in keys if len(key) == length]
-            lo = row_of[group[0]]
+            lo = at[group[0]]
             self._prefixes.append((slice(lo, lo + len(group)),
-                                   np.array([row_of.get(key[:-1], key[0]) for key in group]),
-                                   np.array([key[-1] for key in group])))
+                                   np.array([key[0] - 1 if length == 2 else at[key[:-1]]
+                                             for key in group], dtype=np.intp),
+                                   np.array([key[-1] - 1 for key in group], dtype=np.intp)))
         last = np.zeros(len(level), dtype=np.intp)  # the constant's is the constant row
         last[1:] = single[np.arange(1, len(level)), level[1:] - 1]
         prefix = [0 if lvl < 2 else row[0] if lvl == 2 else row_of[tuple(row[:lvl - 1])]
@@ -157,33 +161,42 @@ class BasisSpec:
 
     def factors(self, points, fill: float) -> np.ndarray:
         """The factor rows of the plan at each row of an (n, d) block of
-        points, (factor_count, n).
+        points, (factor_count, n): the constant, _singles(points, fill),
+        then the product rows of _prefix_products.  Each prefix row
+        multiplies its factors in ascending coordinate order.
+        """
+        points = np.asarray(points, dtype=float)
+        F = np.empty((self.factor_count, len(points)))
+        F[0] = 1.0  # the constant
+        stop = 1 + self.top * self.d
+        _prefix_products(self._prefixes, self._singles(points, fill, F[1:stop]), F[stop:])
+        return F
+
+    def _singles(self, points, fill: float, out=None) -> np.ndarray:
+        """The single rows of the plan at each row of an (n, d) block of
+        points, (top * d, n), written to out when given: row
+        (o-1)*d + k is coordinate k's order-o function.
 
         An order >= 1 factor at a NaN cell reads fill.  eval_all runs
         once per family and validates the known cells; a coordinate's
         rows above its family's order, which no function reads, hold 0
-        (fill at a NaN cell).  Each prefix row multiplies its factors in
-        ascending coordinate order.
+        (fill at a NaN cell).
         """
         points = np.ascontiguousarray(np.asarray(points, dtype=float).T)  # coordinate, point
         n = points.shape[1]
         missing = np.isnan(points)
         gaps = missing.any()
         x = np.where(missing, 0.0, points) if gaps else points  # NaN reads 0, then fill
-        F = np.empty((self.factor_count, n))
-        F[0] = 1.0  # the constant
-        singles = F[1:1 + self.top * self.d].reshape(self.top, self.d, n)  # order, coordinate
+        if out is None:
+            out = np.empty((self.top * self.d, n))
+        singles = out.reshape(self.top, self.d, n)  # order, coordinate
         for family, cols, k in self._columns:
             singles[:k, cols] = family.eval_all(x[cols])[1:k + 1]
             if k < self.top:
                 singles[k:, cols] = 0.0
         if gaps:
             singles[:, missing] = fill
-        for rows, left, right in self._prefixes:
-            block = F[rows]  # every row index is valid, so "clip" only skips numpy's buffering
-            F.take(left, axis=0, out=block, mode="clip")
-            block *= F[right]
-        return F
+        return out
 
     def values(self, points, fill: float) -> np.ndarray:
         """Every selected function at each row of an (n, d) block of
@@ -214,6 +227,20 @@ class BasisSpec:
                 )
             out *= self.families[i].eval(j[i], xi)
         return out
+
+
+def _prefix_products(plan, singles: np.ndarray, out: np.ndarray) -> None:
+    """Write the product rows of a factor plan into out, (prefixes, n).
+
+    plan lists, per prefix length from two factors up, the rows of out
+    it fills, their left factors (rows of singles for two factors, rows
+    of out filled earlier above that) and their right factors (rows of
+    singles); BasisSpec._prefixes is one such plan.
+    """
+    for k, (rows, left, right) in enumerate(plan):
+        block = out[rows]  # every row index is valid, so "clip" only skips numpy's buffering
+        (out if k else singles).take(left, axis=0, out=block, mode="clip")
+        block *= singles[right]
 
 
 def _as_families(d: int, families) -> tuple[Family1D, ...]:

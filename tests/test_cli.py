@@ -516,6 +516,7 @@ def test_density_on_a_model_with_a_bad_cdf_exits_2_naming_the_line(tmp_path, cap
     ("a: legendre rescale 0 nan", "'nan' is not a finite number"),
     ("a: legendre rescale 5 1", "rescale needs hi > lo"),
     ("a: discrete 1 2 1", "duplicate category values"),
+    ("zz: trig", "schema names not in table: ['zz']"),  # the table's columns are a and b
 ])
 def test_fit_schema_with_a_bad_number_exits_2_naming_the_line(tmp_path, capsys, line, message):
     data = write_sample(tmp_path)

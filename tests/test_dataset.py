@@ -251,7 +251,7 @@ def test_column_specs_ordering_and_defaults():
     assert [s.name for s in specs] == ["a", "b"]
     assert specs[0].family == "legendre" and specs[0].transform == "none"
     assert specs[1].family == "trig"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^schema line 1: schema names not in table: \['zz'\]$"):
         column_specs(parse_schema("zz: trig\n"), ("a", "b"))
 
 

@@ -442,19 +442,50 @@ def test_fit_memory_does_not_grow_with_the_record_count():
     assert large < 1.5 * small, (small, large)
 
 
-def test_refine_workspace_holds_factors_not_function_values():
+def _twenty_k_by_six():
+    """20k records of six beta(2, 3) coordinates with 20% of cells
+    missing, and the 6-d Legendre basis with orders {1: 4, 2: 2, 3: 1}."""
     rng = np.random.default_rng([7, 20_000])
     x = rng.beta(2.0, 3.0, size=(20_000, 6))
     x[rng.random(x.shape) < 0.2] = np.nan
-    spec = build_full(6, legendre(4), {1: 4, 2: 2, 3: 1, 4: 0, 5: 0, 6: 0})
-    data = Dataset(x)
-    model = fit(spec, data)
+    return build_full(6, legendre(4), {1: 4, 2: 2, 3: 1, 4: 0, 5: 0, 6: 0}), Dataset(x)
+
+
+def _workspace_pass_peak(model, data):
     tracemalloc.start()
     try:
         ws = _Workspace(model, data)
         ws.gradient_vector(ws.densities(model.coef))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_refine_workspace_holds_factors_not_function_values():
+    spec, data = _twenty_k_by_six()
+    peak = _workspace_pass_peak(fit(spec, data), data)
+    # the function values alone would take len(spec) * n * 8 bytes
+    assert peak < len(spec) * data.n * 8 / 2, peak
+
+
+def test_refine_workspace_holds_single_rows_and_one_block():
+    spec, data = _twenty_k_by_six()
+    peak = _workspace_pass_peak(fit(spec, data), data)
+    # top * d = 24 single rows per record, where the product rows would add
+    # 11; beside them only one row block's temporaries: its tables and
+    # cover while it is built, its product rows while a pass reads it
+    assert peak < (spec.top * spec.d * data.n + estimator.FIT_BLOCK) * 8, peak
+
+
+def test_fit_holds_one_block_of_values_at_a_time():
+    spec, data = _twenty_k_by_six()
+    fit(spec, Dataset(data.values[:10]))  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        fit(spec, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the function values alone would take len(spec) * n * 8 bytes
-    assert peak < len(spec) * len(x) * 8 / 2, peak
+    # one block of values is FIT_BLOCK * 8 bytes; building it also holds the
+    # block's factor rows and the gathered prefix rows, but never a second block
+    assert peak < 2.5 * estimator.FIT_BLOCK * 8, peak

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import hcr
 from hcr import (BasisSpec, Completion, ConditionalSlice, Dataset, Model,
                  NonpositiveMassError, PositivityError, RefineConfig, adapt, build_full,
-                 conditional_slice, discrete, evaluate, find_negative_witness, gradient,
-                 evaluate_points, impute, legendre, refine, support, trig)
+                 build_sparse, conditional_slice, discrete, evaluate, find_negative_witness,
+                 gradient, evaluate_points, impute, legendre, refine, support, trig)
 from hcr.density import _clusters, _derivative_roots, _extremes, _impute_rows
 from hcr.likelihood import _candidate_points, _halton, _Workspace
 from hcr.tensor_basis import MAX_FUNCTIONS
@@ -426,9 +426,13 @@ def test_gradient_matches_reference(seed, d, missing, scale):
 
 @pytest.mark.parametrize("rows", [1, 3])
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
-       missing=st.sampled_from([0.0, 0.3, 0.6]))
-def test_workspace_reductions_match_the_function_values(rows, seed, d, missing):
-    model, rng = random_model(seed, d)
+       missing=st.sampled_from([0.0, 0.3, 0.6]), sparse=st.booleans())
+def test_workspace_reductions_match_the_function_values(rows, seed, d, missing, sparse):
+    if sparse:  # random supports of any size: single rows that nothing reads, gaps in levels
+        spec, rng = random_sparse_spec(seed, d)
+        model = Model(spec, rng.uniform(-0.3, 0.3, len(spec)), {}, {})
+    else:
+        model, rng = random_model(seed, d)
     values = random_records(rng, model, int(rng.integers(1, 10)), missing)
     with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(model.spec)):
         ws = _Workspace(model, Dataset(values))
@@ -443,6 +447,14 @@ def test_workspace_reductions_match_the_function_values(rows, seed, d, missing):
     want[0] = 0.0
     scale = np.divide(np.abs(V) @ np.abs(w), ws.counts, out=np.zeros(len(V)), where=has)
     assert np.all(np.abs(ws.gradient_vector(rho) - want) <= 1e-12 * scale)
+
+
+def test_workspace_keeps_only_the_single_rows_read():
+    spec = build_sparse(10, legendre(4), [(0, 1)], 4)
+    values = np.random.default_rng(3).random((5, 10))
+    ws = _Workspace(Model(spec, np.zeros(len(spec)), {}, {}), Dataset(values))
+    assert (len(spec), spec.factor_count) == (17, 41)
+    assert [S.shape for _, S in ws.blocks] == [(8, 5)]  # orders 1..4 of coordinates 0 and 1
 
 
 def ref_first_step(model, values, config):
