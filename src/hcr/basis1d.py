@@ -182,11 +182,16 @@ def _moment_table(family: Family1D) -> np.ndarray:
             (2, 2): _SQ5 / 30.0,
         }
         table = np.array([[exact.get((p, j), 0.0) for j in range(m + 1)] for p in range(3)])
-    else:
-        if family.is_discrete:
-            nodes, weights = family.grid, np.full(family.v, 1.0 / family.v)
-        else:  # Gauss-Legendre on [0,1], exact for any product of two Legendre rows
-            nodes, weights = gauss_nodes(max(96, m + 1))
+    elif family.kind == TRIG:
+        # with k = ceil(j/2): sqrt(2) sin(2 pi k x) has x and x^2 moments
+        # -sqrt(2)/(2 pi k); sqrt(2) cos(2 pi k x) has 0 and sqrt(2)/(2 pi^2 k^2)
+        j = np.arange(1, m + 1)
+        k, sine = (j + 1) // 2, j % 2 == 1
+        x1 = np.where(sine, -_SQ2 / (2 * np.pi * k), 0.0)
+        table = np.array([np.r_[1.0, np.zeros(m)], np.r_[0.5, x1],
+                          np.r_[1.0 / 3.0, np.where(sine, x1, _SQ2 / (2 * np.pi**2 * k**2))]])
+    else:  # weight 1/v per grid point
+        nodes, weights = family.grid, np.full(family.v, 1.0 / family.v)
         values = family.eval_all(nodes)
         table = np.array([[np.sum(weights * nodes**p * values[j]) for j in range(m + 1)]
                           for p in range(3)])

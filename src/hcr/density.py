@@ -40,8 +40,10 @@ MASS_FLOOR = 0.01  # cluster-split slivers below this merge into a neighbor
 
 
 def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
-    """Densities at an (n, d) block of points, coef @ BasisSpec.values
-    over row blocks of FIT_BLOCK function values.  A NaN cell raises
+    """Densities at an (n, d) block of points: BasisSpec.densities over
+    the zero-filled single rows of each row block of FIT_BLOCK function
+    values, the contraction refine reads; it equals coef @ values to
+    1e-12 of the terms' absolute sum.  A NaN cell raises
     MissingCoordinateError unless no selected function reads its
     coordinate (as for the coordinates a marginal model dropped)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -53,10 +55,9 @@ def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
         raise MissingCoordinateError(
             f"point {row} is missing coordinates {np.flatnonzero(missing[row]).tolist()}; "
             "use conditional_slice")
-    out = np.empty(len(points))
-    for rows in _blocks(model.spec, len(points)):
-        out[rows] = model.coef @ model.spec.values(points[rows], 0)
-    return out
+    spec = model.spec
+    blocks = ((rows, spec._singles(points[rows], 0)) for rows in _blocks(spec, len(points)))
+    return spec.densities(model.coef, blocks, np.empty(len(points)))
 
 
 def evaluate(model: Model, x) -> float:
@@ -68,8 +69,9 @@ def evaluate(model: Model, x) -> float:
 
 
 def clamp(value: float, epsilon: float) -> float:
-    """max(value, epsilon); the cost is approximate normalization."""
-    if epsilon <= 0:
+    """max(value, epsilon); the cost is approximate normalization.  A
+    NaN epsilon is refused as a nonpositive one is."""
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return max(value, epsilon)
 

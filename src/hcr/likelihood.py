@@ -18,7 +18,7 @@ from .dataset import Dataset
 from .density import evaluate, evaluate_points
 from .errors import NonpositiveMassError, PositivityError
 from .estimator import Model, _blocks
-from .tensor_basis import MultiIndex, _prefix_products
+from .tensor_basis import MultiIndex
 
 __all__ = [
     "RefineConfig",
@@ -70,97 +70,30 @@ class TraceStep:
 
 class _Workspace:
     """The zero-filled single factor rows of every record, kept per
-    FIT_BLOCK row block in place of the function values: function p is
-    its prefix row times its last row, 0 where a record misses its
-    support, so a record reads only the functions its known set covers.
-    Only the single rows some function or prefix reads are kept, and
-    each pass rebuilds a block's prefix rows (spec._prefixes, with its
-    single rows renumbered among the kept ones) in one buffer sized for
-    one block.  counts holds each function's evidence, taken block by
-    block.
-
-    The functions reduce in groups, one per level.  A group's prefix
-    rows and last rows span two ranges (its prefixes are single rows at
-    level 2 and product rows above), and its coefficients fill a small
-    matrix over them, so on each block the one-factor functions are one
-    GEMV, the constant a scalar, and every other level one GEMM, whose
-    output has a row per last row: the single factors a level ends on,
-    few beside its prefixes.  BLAS orders these sums differently from
-    coef @ V, so they differ from it in the last bits.
-    """
+    FIT_BLOCK row block in place of the function values, which
+    BasisSpec.densities and ratio_sums contract; each function's
+    evidence counts; and the usable and complete masks."""
 
     def __init__(self, model: Model, data: Dataset):
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
-        spec, n = model.spec, data.n
-        level, top = spec.touch.sum(axis=1), spec.top * spec.d
-        # the single rows read: by a last factor, a two-factor prefix or a product row
-        read = np.zeros(top, dtype=bool)
-        for rows in (spec.last[1:] - 1, spec.prefix[level == 2] - 1,
-                     *(left for _, left, _ in spec._prefixes[:1]),
-                     *(right for _, _, right in spec._prefixes)):
-            read[rows] = True
-        kept = np.flatnonzero(read)
-        self.plan = [(rows, left if k else np.searchsorted(kept, left),
-                      np.searchsorted(kept, right))
-                     for k, (rows, left, right) in enumerate(spec._prefixes)]
-        self.products = spec.factor_count - 1 - top
-        self.counts = np.zeros(len(spec), dtype=np.int64)
+        self.spec, n = model.spec, data.n
+        self.counts = np.zeros(len(self.spec), dtype=np.int64)
         self.usable, self.complete = np.empty((2, n), dtype=bool)
         self.blocks = []
-        for rows in _blocks(spec, n):
+        for rows in _blocks(self.spec, n):
             x = data.values[rows]
             present = ~np.isnan(x)
             # an int32 sum skips the buffered bool-to-int64 cast
-            self.counts += spec.covered(present).sum(axis=1, dtype=np.int32)
+            self.counts += self.spec.covered(present).sum(axis=1, dtype=np.int32)
             self.usable[rows] = present.any(axis=1)  # a fully-missing record supports nothing
             self.complete[rows] = present.all(axis=1)
-            S = spec._singles(x, 0)
-            self.blocks.append((rows, S if len(kept) == top else S[kept]))
-        last = np.searchsorted(kept, spec.last - 1)
-        prefix = np.where(level == 2, np.searchsorted(kept, spec.prefix - 1),
-                          spec.prefix - 1 - top)
-        bounds = np.searchsorted(level, np.arange(1, level.max(initial=1) + 2)).tolist()
-        self.head_funs = slice(bounds[0], bounds[1])  # the one-factor functions
-        self.head, self.head_cols = _span(last[self.head_funs])
-        self.groups = []  # functions, level, prefix rows, last rows, each function's (row, column)
-        for lvl, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), start=2):
-            if lo < hi:
-                (arows, ai), (brows, bi) = _span(prefix[lo:hi]), _span(last[lo:hi])
-                self.groups.append((slice(lo, hi), lvl, arows, brows, ai, bi))
-        # the last rows of every group above, which the gradient scales once
-        self.lasts = slice(min((g[3].start for g in self.groups), default=0),
-                           max((g[3].stop for g in self.groups), default=0))
-
-    def _passes(self):
-        """Each block's rows, single rows and product rows, the last
-        rebuilt in one buffer sized for the first, largest block."""
-        buffer = np.empty(self.products * (self.blocks[0][1].shape[1] if self.blocks else 0))
-        for rows, S in self.blocks:
-            P = buffer[:self.products * S.shape[1]].reshape(self.products, S.shape[1])
-            _prefix_products(self.plan, S, P)
-            yield rows, S, P
+            self.blocks.append((rows, self.spec._singles(x, 0)))
 
     def densities(self, coef: np.ndarray) -> np.ndarray:
         """Per-record marginal density over the record's known set (1 for
         a fully-missing record)."""
-        head = np.zeros(self.head.stop - self.head.start)
-        head[self.head_cols] = coef[self.head_funs]
-        mats = []
-        for fun, _, arows, brows, ai, bi in self.groups:  # last rows x prefix rows
-            C = np.zeros((brows.stop - brows.start, arows.stop - arows.start))
-            C[bi, ai] = coef[fun]
-            mats.append(C)
-        rho = np.empty(len(self.usable))
-        for rows, S, P in self._passes():
-            r = head @ S[self.head]
-            r += coef[0]  # the constant
-            for C, (_, lvl, arows, brows, _, _) in zip(mats, self.groups):
-                T = C @ (S if lvl == 2 else P)[arows]
-                T *= S[brows]
-                r += T.sum(axis=0)
-            rho[rows] = r
-        return rho
+        return self.spec.densities(coef, self.blocks, np.empty(len(self.usable)))
 
     def loglik(self, rho: np.ndarray) -> float:
         if not self.complete.any():
@@ -170,28 +103,10 @@ class _Workspace:
     def gradient_vector(self, rho: np.ndarray) -> np.ndarray:
         """Per function, the mean of f/rho over the records covering it;
         0 for the constant and for functions without evidence."""
-        head = np.zeros(self.head.stop - self.head.start)
-        sums = [np.zeros((a.stop - a.start, b.stop - b.start)) for _, _, a, b, _, _ in self.groups]
-        lo = self.lasts.start
-        for rows, S, P in self._passes():
-            w = 1.0 / rho[rows]
-            head += S[self.head] @ w
-            scaled = S[self.lasts] * w
-            for G, (_, lvl, arows, brows, _, _) in zip(sums, self.groups):
-                G += (S if lvl == 2 else P)[arows] @ scaled[brows.start - lo:brows.stop - lo].T
-        out = np.zeros(len(self.counts))
-        out[self.head_funs] = head[self.head_cols]
-        for G, (fun, _, _, _, ai, bi) in zip(sums, self.groups):
-            out[fun] = G[ai, bi]
-        grad = np.divide(out, self.counts, out=np.zeros_like(out), where=self.counts > 0)
+        sums = self.spec.ratio_sums(self.blocks, rho)
+        grad = np.divide(sums, self.counts, out=np.zeros_like(sums), where=self.counts > 0)
         grad[0] = 0.0  # the constant coefficient is fixed
         return grad
-
-
-def _span(rows: np.ndarray):
-    """The range of rows a group reads, and each function's row in it."""
-    lo = int(rows.min()) if rows.size else 0
-    return slice(lo, int(rows.max()) + 1 if rows.size else 0), rows - lo
 
 
 def log_likelihood(model: Model, data: Dataset) -> float:

@@ -65,14 +65,16 @@ class BasisSpec:
     coordinate's _moment_table, zero-padded to (d, 3, width).
 
     The factor plan: factors() gives factor_count rows per point.  Row 0
-    is the constant 1; row 1 + (o-1)*d + k is coordinate k's order-o
-    function, o = 1..top (order-major, top the highest selected order),
-    the single rows; then one product row per prefix of two or more
-    factors, shorter prefixes first, where a prefix is a selected
-    function's support less its last coordinate, at the orders the
-    function has there.  Function p is the product of rows prefix[p] and
-    last[p] (prefix[p] is 0 for the constant and one-factor functions, a
-    single row for two factors).  Treated as immutable after construction.
+    is the constant 1; rows 1..single_count are the single rows, one per
+    (coordinate, order >= 1) that some selected function reads, ordered
+    by family, then order, then coordinate; then one product row
+    per prefix of two or more factors, shorter prefixes first, where a
+    prefix is a selected function's support less its last coordinate, at
+    the orders the function has there.  Function p is the product of rows
+    prefix[p] and last[p] (prefix[p] is 0 for the constant and one-factor
+    functions, a single row for two factors).  densities and ratio_sums
+    contract blocks of single rows with this plan.  Treated as immutable
+    after construction.
     """
 
     d: int
@@ -102,27 +104,35 @@ class BasisSpec:
         self._plan_factors()
 
     def _plan_factors(self):
-        """The factor plan of the class docstring, and each family's
-        coordinates and the orders it fills."""
+        """The factor plan of the class docstring, each family's coordinates
+        and single rows, and the groups of the contraction."""
         d, level = self.d, self.touch.sum(axis=1)
-        self.top = top = int(self.orders.max(initial=0))
-        self._columns = []  # family, its coordinates, k: it fills orders 1..k
-        for f in dict.fromkeys(self.families):
-            cols = [k for k, g in enumerate(self.families) if g == f]
-            if cols == list(range(cols[0], cols[-1] + 1)):
-                cols = slice(cols[0], cols[-1] + 1)  # a view, not a gather
-            self._columns.append((f, cols, min(f.max_order, top)))
+        span = (int(self.orders.max(initial=0)) + 1) * d  # the codes of one family
+        families = list(dict.fromkeys(self.families))
+        kind = np.array([families.index(f) for f in self.families], dtype=np.intp)
+        cols = [np.flatnonzero(kind == i) for i in range(len(families))]
         coords = np.argsort(self.orders == 0, axis=1, kind="stable")  # support, ascending
-        single = 1 + (np.take_along_axis(self.orders, coords, axis=1) - 1) * d + coords
+        orders = np.take_along_axis(self.orders, coords, axis=1)
+        code = kind[coords] * span + orders * d + coords  # family, order, coordinate
+        used = np.flatnonzero(np.bincount(code[orders > 0]))  # the single factors read
+        single = 1 + np.searchsorted(used, code)  # each factor's row (on the support)
+        self.single_count = len(used)
+        self._columns = []  # family, its coordinates, its single rows, their rows in its table
+        for i, (f, c) in enumerate(zip(families, cols)):
+            lo, hi = np.searchsorted(used, [i * span, (i + 1) * span]).tolist()
+            order, k = np.divmod(used[lo:hi] - i * span, d)
+            rows = (order - 1) * len(c) + np.searchsorted(c, k)
+            if c[-1] - c[0] == len(c) - 1:
+                c = slice(int(c[0]), int(c[-1]) + 1)  # a view, not a gather
+            self._columns.append((f, c, slice(lo, hi), rows))
         # every prefix of two or more factors, keyed by its factors' rows
         keys = {tuple(row[:length]) for row, lvl in zip(single.tolist(), level.tolist())
                 for length in range(2, lvl)}
         keys = sorted(keys, key=lambda key: (len(key), key))
         at = {key: r for r, key in enumerate(keys)}  # a prefix's row among the product rows
-        row_of = {key: 1 + top * d + r for key, r in at.items()}
-        self.factor_count = 1 + top * d + len(keys)
-        # per prefix length, the plan of _prefix_products, its rows counted
-        # from the first single row and the first product row
+        self.factor_count = 1 + len(used) + len(keys)
+        # per prefix length, the plan of _products, its rows counted from
+        # the first single row and the first product row
         self._prefixes = []
         for length in range(2, level.max(initial=0)):
             group = [key for key in keys if len(key) == length]
@@ -133,13 +143,25 @@ class BasisSpec:
                                    np.array([key[-1] - 1 for key in group], dtype=np.intp)))
         last = np.zeros(len(level), dtype=np.intp)  # the constant's is the constant row
         last[1:] = single[np.arange(1, len(level)), level[1:] - 1]
-        prefix = [0 if lvl < 2 else row[0] if lvl == 2 else row_of[tuple(row[:lvl - 1])]
+        prefix = [0 if lvl < 2 else row[0] if lvl == 2
+                  else 1 + len(used) + at[tuple(row[:lvl - 1])]  # a product row
                   for row, lvl in zip(single.tolist(), level.tolist())]
         self.prefix, self.last = np.array(prefix, dtype=np.intp), last
         self._pairs = int(np.searchsorted(level, 2))  # the first function of two factors
-        self._outer = self.prefix[self._pairs:]
-        for a in (self.prefix, self.last, self._outer):
+        for a in (self.prefix, self.last):
             a.setflags(write=False)
+        # the contraction's groups: the one-factor functions, then one per
+        # level above, whose prefixes are single rows at level 2, product rows above
+        bounds = np.searchsorted(level, np.arange(1, level.max(initial=1) + 2)).tolist()
+        self._head = (slice(bounds[0], bounds[1]), *_span(last[bounds[0]:bounds[1]] - 1))
+        self._groups = []  # functions, products?, prefix rows, last rows, each (row, column)
+        for lvl, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), start=2):
+            if lo < hi:
+                first = 1 + len(used) if lvl > 2 else 1  # the factor row of the group's row 0
+                (arows, ai), (brows, bi) = _span(self.prefix[lo:hi] - first), _span(last[lo:hi] - 1)
+                self._groups.append((slice(lo, hi), lvl > 2, arows, brows, ai, bi))
+        # the last rows of every group, which ratio_sums scales once per block
+        self._lasts = _span(last[bounds[1]:] - 1)[0]
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -162,41 +184,104 @@ class BasisSpec:
     def factors(self, points, fill: float) -> np.ndarray:
         """The factor rows of the plan at each row of an (n, d) block of
         points, (factor_count, n): the constant, _singles(points, fill),
-        then the product rows of _prefix_products.  Each prefix row
-        multiplies its factors in ascending coordinate order.
-        """
+        then the product rows of _products.  Each prefix row multiplies
+        its factors in ascending coordinate order."""
         points = np.asarray(points, dtype=float)
         F = np.empty((self.factor_count, len(points)))
         F[0] = 1.0  # the constant
-        stop = 1 + self.top * self.d
-        _prefix_products(self._prefixes, self._singles(points, fill, F[1:stop]), F[stop:])
+        stop = 1 + self.single_count
+        self._products(self._singles(points, fill, F[1:stop]), F[stop:])
         return F
+
+    def _products(self, singles: np.ndarray, out: np.ndarray) -> None:
+        """Write the product rows at the columns of singles into out, shorter
+        prefixes first: a left factor (a single row for two factors, else a
+        product row written before) times a right factor (a single row)."""
+        for k, (rows, left, right) in enumerate(self._prefixes):
+            block = out[rows]  # every row index is valid, so "clip" only skips numpy's buffering
+            (out if k else singles).take(left, axis=0, out=block, mode="clip")
+            block *= singles[right]
 
     def _singles(self, points, fill: float, out=None) -> np.ndarray:
         """The single rows of the plan at each row of an (n, d) block of
-        points, (top * d, n), written to out when given: row
-        (o-1)*d + k is coordinate k's order-o function.
-
-        An order >= 1 factor at a NaN cell reads fill.  eval_all runs
-        once per family and validates the known cells; a coordinate's
-        rows above its family's order, which no function reads, hold 0
-        (fill at a NaN cell).
-        """
+        points, (single_count, n), written to out when given.  A factor at
+        a NaN cell reads fill.  eval_all runs once per family, whether or
+        not a function reads its rows, and validates the known cells."""
         points = np.ascontiguousarray(np.asarray(points, dtype=float).T)  # coordinate, point
         n = points.shape[1]
         missing = np.isnan(points)
         gaps = missing.any()
         x = np.where(missing, 0.0, points) if gaps else points  # NaN reads 0, then fill
         if out is None:
-            out = np.empty((self.top * self.d, n))
-        singles = out.reshape(self.top, self.d, n)  # order, coordinate
-        for family, cols, k in self._columns:
-            singles[:k, cols] = family.eval_all(x[cols])[1:k + 1]
-            if k < self.top:
-                singles[k:, cols] = 0.0
-        if gaps:
-            singles[:, missing] = fill
+            out = np.empty((self.single_count, n))
+        for family, cols, rows, table_rows in self._columns:
+            table = family.eval_all(x[cols])[1:]  # order, coordinate, point
+            if gaps:
+                table[:, missing[cols]] = fill
+            table = table.reshape(table.shape[0] * table.shape[1], n)
+            table.take(table_rows, axis=0, out=out[rows], mode="clip")
         return out
+
+    def _layout(self, coef: np.ndarray):
+        """coef laid out for the contraction: the one-factor functions' over
+        their single rows, and per group a (last rows x prefix rows) matrix."""
+        funs, span, cols = self._head
+        head = np.zeros(span.stop - span.start)
+        head[cols] = coef[funs]
+        mats = []
+        for fun, _, arows, brows, ai, bi in self._groups:
+            mats.append(np.zeros((brows.stop - brows.start, arows.stop - arows.start)))
+            mats[-1][bi, ai] = coef[fun]
+        return head, mats
+
+    def densities(self, coef: np.ndarray, blocks, out: np.ndarray) -> np.ndarray:
+        """coef @ values(points, 0), written to out[rows] for each (rows,
+        _singles(points, 0)) of blocks; returns out.  Per block: the
+        constant, one GEMV over the one-factor functions' single rows, and
+        per level above one GEMM of its coefficient matrix over its prefix
+        rows, times its last rows and summed over them.  BLAS orders these
+        sums otherwise than coef @ values."""
+        (head, mats), span = self._layout(coef), self._head[1]
+        for rows, S, P in self._with_products(blocks):
+            r = head @ S[span]
+            r += coef[0]  # the constant
+            for C, (_, products, arows, brows, _, _) in zip(mats, self._groups):
+                T = C @ (P if products else S)[arows]
+                T *= S[brows]
+                r += T.sum(axis=0)
+            out[rows] = r
+        return out
+
+    def ratio_sums(self, blocks, rho: np.ndarray) -> np.ndarray:
+        """The transpose of densities: values(points, 0) @ (1 / rho[rows])
+        summed over the (rows, _singles(points, 0)) of blocks, one entry
+        per selected function (0 for the constant).  1/rho scales each
+        block's last rows once, and each level's GEMM reads its prefix
+        rows against them."""
+        (funs, span, cols), (head, mats) = self._head, self._layout(np.zeros(len(self)))
+        sums = [np.zeros(C.T.shape) for C in mats]  # C-ordered: adding into C.T is slower
+        lo = self._lasts.start
+        for rows, S, P in self._with_products(blocks):
+            w = 1.0 / rho[rows]
+            head += S[span] @ w
+            scaled = S[self._lasts] * w
+            for G, (_, products, arows, brows, _, _) in zip(sums, self._groups):
+                G += (P if products else S)[arows] @ scaled[brows.start - lo:brows.stop - lo].T
+        out = np.zeros(len(self))
+        out[funs] = head[cols]
+        for G, (fun, _, _, _, ai, bi) in zip(sums, self._groups):
+            out[fun] = G[ai, bi]
+        return out
+
+    def _with_products(self, blocks):
+        """Each (rows, singles) of blocks with its product rows, rebuilt in
+        one buffer sized for the first block (of _blocks, the largest)."""
+        m, buffer = self.factor_count - 1 - self.single_count, None
+        for rows, S in blocks:
+            buffer = np.empty(m * S.shape[1]) if buffer is None else buffer
+            P = buffer[:m * S.shape[1]].reshape(m, S.shape[1])
+            self._products(S, P)
+            yield rows, S, P
 
     def values(self, points, fill: float) -> np.ndarray:
         """Every selected function at each row of an (n, d) block of
@@ -210,7 +295,7 @@ class BasisSpec:
         """
         F = self.factors(points, fill)
         out = F.take(self.last, axis=0)
-        out[self._pairs:] *= F[self._outer]
+        out[self._pairs:] *= F[self.prefix[self._pairs:]]
         return out
 
     def eval_function(self, j: MultiIndex, x: Sequence[float]) -> float:
@@ -229,18 +314,10 @@ class BasisSpec:
         return out
 
 
-def _prefix_products(plan, singles: np.ndarray, out: np.ndarray) -> None:
-    """Write the product rows of a factor plan into out, (prefixes, n).
-
-    plan lists, per prefix length from two factors up, the rows of out
-    it fills, their left factors (rows of singles for two factors, rows
-    of out filled earlier above that) and their right factors (rows of
-    singles); BasisSpec._prefixes is one such plan.
-    """
-    for k, (rows, left, right) in enumerate(plan):
-        block = out[rows]  # every row index is valid, so "clip" only skips numpy's buffering
-        (out if k else singles).take(left, axis=0, out=block, mode="clip")
-        block *= singles[right]
+def _span(rows: np.ndarray):
+    """The range of rows a group reads, and each function's row in it."""
+    lo = int(rows.min()) if rows.size else 0
+    return slice(lo, int(rows.max()) + 1 if rows.size else 0), rows - lo
 
 
 def _as_families(d: int, families) -> tuple[Family1D, ...]:

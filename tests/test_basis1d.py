@@ -190,12 +190,13 @@ def test_moment_integrals_polynomial():
 
 
 def test_moment_integrals_trig():
-    table = _moment_table(trig(4))
     x, w = unit_nodes(200)
-    for j in range(5):
-        for p in (0, 1, 2):
-            want = float(np.sum(w * x**p * trig_oracle(j, x)))
-            assert table[p, j] == pytest.approx(want, abs=1e-12)
+    for m in (4, 9, 40, 101, 200):
+        table = _moment_table(trig(m))  # closed form
+        for j in range(m + 1):
+            for p in (0, 1, 2):
+                want = float(np.sum(w * x**p * trig_oracle(j, x)))
+                assert table[p, j] == pytest.approx(want, abs=1e-12), (m, j, p)
 
 
 def test_eval_range_validation():

@@ -63,8 +63,9 @@ def test_clamp():
     assert clamp(-0.3, 0.01) == 0.01
     assert clamp(0.005, 0.01) == 0.01
     assert clamp(0.7, 0.01) == 0.7
-    with pytest.raises(ValueError):
-        clamp(0.5, 0.0)
+    for bad in (0.0, -0.01, float("nan")):  # a NaN floor would let -1.0 through
+        with pytest.raises(ValueError):
+            clamp(-1.0, bad)
 
 
 def test_marginalize_drops_foreign_supports():

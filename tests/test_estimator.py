@@ -471,10 +471,10 @@ def test_refine_workspace_holds_factors_not_function_values():
 def test_refine_workspace_holds_single_rows_and_one_block():
     spec, data = _twenty_k_by_six()
     peak = _workspace_pass_peak(fit(spec, data), data)
-    # top * d = 24 single rows per record, where the product rows would add
-    # 11; beside them only one row block's temporaries: its tables and
+    # single_count = 24 single rows per record, where the product rows would
+    # add 11; beside them only one row block's temporaries: its tables and
     # cover while it is built, its product rows while a pass reads it
-    assert peak < (spec.top * spec.d * data.n + estimator.FIT_BLOCK) * 8, peak
+    assert peak < (spec.single_count * data.n + estimator.FIT_BLOCK) * 8, peak
 
 
 def test_fit_holds_one_block_of_values_at_a_time():

@@ -21,7 +21,8 @@ import hcr
 from hcr import (BasisSpec, Completion, ConditionalSlice, Dataset, Model,
                  NonpositiveMassError, PositivityError, RefineConfig, adapt, build_full,
                  build_sparse, conditional_slice, discrete, evaluate, find_negative_witness,
-                 gradient, evaluate_points, impute, legendre, refine, support, trig)
+                 gradient, evaluate_points, impute, legendre, log_likelihood, refine,
+                 support, trig)
 from hcr.density import _clusters, _derivative_roots, _extremes, _impute_rows
 from hcr.likelihood import _candidate_points, _halton, _Workspace
 from hcr.tensor_basis import MAX_FUNCTIONS
@@ -380,9 +381,14 @@ def test_adapt_evidence_matches_the_superset_reference(seed, d, n, missing):
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7])
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(0, 16))
-def test_evaluate_points_matches_reference_across_block_edges(rows, seed, d, n):
-    model, rng = random_model(seed, d)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(0, 16),
+       sparse=st.booleans())
+def test_evaluate_points_matches_reference_across_block_edges(rows, seed, d, n, sparse):
+    if sparse:  # single rows that nothing reads, gaps in levels
+        spec, rng = random_sparse_spec(seed, d)
+        model = Model(spec, rng.uniform(-0.3, 0.3, len(spec)), {}, {})
+    else:
+        model, rng = random_model(seed, d)
     families = model.spec.families
     points = np.array([[random_value(rng, f) for f in families] for _ in range(n)]).reshape(n, d)
     with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(model.spec)):
@@ -449,11 +455,41 @@ def test_workspace_reductions_match_the_function_values(rows, seed, d, missing, 
     assert np.all(np.abs(ws.gradient_vector(rho) - want) <= 1e-12 * scale)
 
 
+def random_full_spec(seed, d):
+    """build_full over mixed families, each level's order at most every
+    family's capacity, and at most 1 above two factors."""
+    rng = np.random.default_rng(seed)
+    families = tuple(random_family(rng) for _ in range(d))
+    cap = min(f.max_order for f in families)
+    level_orders = {lvl: int(rng.integers(0, min(cap, 3 if lvl < 3 else 1) + 1))
+                    for lvl in range(1, d + 1)}
+    return build_full(d, families, level_orders), rng
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(1, 12),
+       sparse=st.booleans())
+def test_evaluate_points_and_refine_read_one_kernel(rows, seed, d, n, sparse):
+    spec, rng = (random_sparse_spec if sparse else random_full_spec)(seed, d)
+    model = Model(spec, rng.uniform(-0.1, 0.1, len(spec)), {}, {})
+    values = np.array([[random_value(rng, f) for f in spec.families] for _ in range(n)])
+    data = Dataset(values.reshape(n, d))  # complete records
+    with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(spec)):
+        ws = _Workspace(model, data)
+        rho = ws.densities(model.coef)
+        assert np.array_equal(evaluate_points(model, data.values), rho)
+        if rho.min() > 0:
+            assert log_likelihood(model, data) == ws.loglik(rho)
+        else:
+            with pytest.raises(NonpositiveMassError):
+                log_likelihood(model, data)
+
+
 def test_workspace_keeps_only_the_single_rows_read():
     spec = build_sparse(10, legendre(4), [(0, 1)], 4)
     values = np.random.default_rng(3).random((5, 10))
     ws = _Workspace(Model(spec, np.zeros(len(spec)), {}, {}), Dataset(values))
-    assert (len(spec), spec.factor_count) == (17, 41)
+    assert (len(spec), spec.factor_count) == (17, 9)  # the constant and the 8 single rows
     assert [S.shape for _, S in ws.blocks] == [(8, 5)]  # orders 1..4 of coordinates 0 and 1
 
 
