@@ -124,11 +124,18 @@ class Family1D:
         callers whose points lie in [0,1] by construction call _stack.
         """
         arr = np.asarray(x, dtype=float)
+        index = self._check(arr)
+        if index is not None:
+            return _discrete_table(self.v)[:self.max_order + 1, index]
+        return self._stack(arr)
+
+    def _check(self, arr: np.ndarray):
+        """Raise ValueError unless arr lies in [0,1] (on the grid, for a
+        discrete family); NaN passes.  Returns a discrete family's grid
+        indices of arr, else None."""
         if ((arr < 0.0) | (arr > 1.0)).any():
             raise ValueError("evaluation outside [0,1] is not defined")
-        if self.kind == DISCRETE:
-            return _discrete_table(self.v)[:self.max_order + 1, self._grid_index(arr)]
-        return self._stack(arr)
+        return self._grid_index(arr) if self.kind == DISCRETE else None
 
     def _stack(self, arr: np.ndarray) -> np.ndarray:
         """eval_all of a float array in [0,1], unchecked, each row computed

@@ -40,7 +40,7 @@ MASS_FLOOR = 0.01  # cluster-split slivers below this merge into a neighbor
 
 
 def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
-    """Densities at an (n, d) block of points: BasisSpec.densities over
+    """Densities at an (n, d) block of points: BasisSpec.contract over
     the zero-filled single rows of each row block of FIT_BLOCK function
     values, the contraction refine reads; it equals coef @ values to
     1e-12 of the terms' absolute sum.  A NaN cell raises
@@ -57,7 +57,9 @@ def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
             "use conditional_slice")
     spec = model.spec
     blocks = ((rows, spec._singles(points[rows], 0)) for rows in _blocks(spec, len(points)))
-    return spec.densities(model.coef, blocks, np.empty(len(points)))
+    out = np.empty(len(points))
+    spec.contract(model.coef, blocks, out)
+    return out
 
 
 def evaluate(model: Model, x) -> float:

@@ -68,45 +68,53 @@ class TraceStep:
     step_scale: float
 
 
+_POSITIVE = np.finfo(float).smallest_subnormal  # a density is >= this iff it is > 0
+
+
 class _Workspace:
-    """The zero-filled single factor rows of every record, kept per
-    FIT_BLOCK row block in place of the function values, which
-    BasisSpec.densities and ratio_sums contract; each function's
-    evidence counts; and the usable and complete masks."""
+    """A record set read in FIT_BLOCK row blocks.  It keeps each
+    function's evidence counts and the usable and complete masks from a
+    first pass; every later pass, one per density evaluation, builds each
+    block's zero-filled single rows again from the records instead of
+    storing them, so it holds a few floats per record and one block."""
 
     def __init__(self, model: Model, data: Dataset):
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
-        self.spec, n = model.spec, data.n
+        self.spec, self.records, n = model.spec, data.values, data.n
         self.counts = np.zeros(len(self.spec), dtype=np.int64)
         self.usable, self.complete = np.empty((2, n), dtype=bool)
-        self.blocks = []
         for rows in _blocks(self.spec, n):
-            x = data.values[rows]
-            present = ~np.isnan(x)
+            present = ~np.isnan(self.records[rows])
             # an int32 sum skips the buffered bool-to-int64 cast
             self.counts += self.spec.covered(present).sum(axis=1, dtype=np.int32)
             self.usable[rows] = present.any(axis=1)  # a fully-missing record supports nothing
             self.complete[rows] = present.all(axis=1)
-            self.blocks.append((rows, self.spec._singles(x, 0)))
 
-    def densities(self, coef: np.ndarray) -> np.ndarray:
-        """Per-record marginal density over the record's known set (1 for
-        a fully-missing record)."""
-        return self.spec.densities(coef, self.blocks, np.empty(len(self.usable)))
+    def densities(self, coef: np.ndarray, floor: float | None, stop: bool = True):
+        """One pass: per record the marginal density at coef over the
+        record's known set (1 for a fully-missing record), and, given a
+        floor, the gradient at those densities while every usable one so
+        far is >= floor, else None.  The gradient entry of a function is
+        the mean of f/rho over the records covering it; 0 for the
+        constant and for functions without evidence.  With stop, the
+        first block holding a usable density below floor ends the pass,
+        and the densities after it are left unset."""
+        rho = np.empty(len(self.usable))
+        blocks = ((rows, self.spec._singles(self.records[rows], 0))
+                  for rows in _blocks(self.spec, len(rho)))
+        sums = self.spec.contract(coef, blocks, rho, floor, self.usable, stop)
+        if sums is None:
+            return rho, None
+        grad = np.divide(sums, self.counts, out=np.zeros_like(sums), where=self.counts > 0)
+        grad[0] = 0.0  # the constant coefficient is fixed
+        return rho, grad
 
     def loglik(self, rho: np.ndarray) -> float:
         if not self.complete.any():
             return float("nan")
-        return float(np.mean(np.log(rho[self.complete])))
-
-    def gradient_vector(self, rho: np.ndarray) -> np.ndarray:
-        """Per function, the mean of f/rho over the records covering it;
-        0 for the constant and for functions without evidence."""
-        sums = self.spec.ratio_sums(self.blocks, rho)
-        grad = np.divide(sums, self.counts, out=np.zeros_like(sums), where=self.counts > 0)
-        grad[0] = 0.0  # the constant coefficient is fixed
-        return grad
+        logs = rho[self.complete]
+        return float(np.mean(np.log(logs, out=logs)))
 
 
 def log_likelihood(model: Model, data: Dataset) -> float:
@@ -137,15 +145,15 @@ def gradient(model: Model, data: Dataset) -> dict[MultiIndex, float]:
     over the records knowing C, where rho is each record's marginal
     density over its own known set.  The constant's entry is 0.
     """
-    ws = _Workspace(model, data)
-    rho = ws.densities(model.coef)
+    rho, grad = _Workspace(model, data).densities(model.coef, _POSITIVE, stop=False)
     _check_positive(rho)
-    return dict(zip(model.spec.selected, ws.gradient_vector(rho).tolist()))
+    return dict(zip(model.spec.selected, grad.tolist()))
 
 
 def _check_positive(rho: np.ndarray):
-    # a fully-missing record's density is 1, so a nonpositive one is a usable record's
-    if rho.size and rho.min() <= 0:
+    # a fully-missing record's density is 1, so a nonpositive one is a usable
+    # record's; a NaN one fails too, as it fails the pass's floor
+    if rho.size and not rho.min() > 0:
         k = int(np.argmin(rho))
         raise NonpositiveMassError(f"record {k} has marginal density {rho[k]:.6g}", float(rho[k]))
 
@@ -154,15 +162,21 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
     """Fixed-step gradient ascent on F(a) - ridge * sum a_f^2.
 
     Each step shrinks geometrically until every usable record keeps
-    density >= positivity_margin; on fully complete data the shrink also
-    enforces a non-decreasing penalized objective (with incomplete data
-    the gradient is approximate, so the trace is indicative only).
-    Aborts after 60 shrinks.
+    density >= positivity_margin (and > 0, when the margin is 0); on
+    fully complete data the shrink also enforces a non-decreasing
+    penalized objective (with incomplete data the gradient is
+    approximate, so the trace is indicative only).  Aborts after 60
+    shrinks.  Each candidate costs one pass over the records in row
+    blocks, which yields its densities and, when they keep the margin,
+    the gradient at them: an accepted candidate's pass already holds the
+    next step's gradient.  A pass stops at the first block below the
+    margin.
     """
     ws = _Workspace(model, data)
     coef = model.coef  # coef[0], the constant's, stays 1: its gradient entry is 0
     all_complete = ws.complete.size > 0 and bool(ws.complete.all())
-    rho = ws.densities(coef)
+    floor = config.positivity_margin or _POSITIVE
+    rho, g = ws.densities(coef, _POSITIVE, stop=False)  # every density, so the check names the worst
     _check_positive(rho)
 
     def objective(c, r):
@@ -171,16 +185,14 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
 
     trace: list[TraceStep] = []
     _, current_obj = objective(coef, rho)
+    del rho  # later densities live only in their candidate's pass
     for step in range(config.steps):
-        g = ws.gradient_vector(rho)
         g[1:] -= 2.0 * config.ridge * coef[1:]
         scale = config.step_size
         for attempt in range(MAX_BACKTRACKS + 1):
             candidate = coef + scale * g
-            cand_rho = ws.densities(candidate)
-            used = cand_rho[ws.usable]
-            positive = (not used.size) or np.min(used) >= config.positivity_margin
-            if positive:
+            cand_rho, cand_g = ws.densities(candidate, floor)
+            if cand_g is not None:
                 f_new, obj_new = objective(candidate, cand_rho)
                 monotone = (not all_complete or np.isnan(obj_new)
                             or obj_new >= current_obj - 1e-12 * (1 + abs(current_obj)))
@@ -191,7 +203,7 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
             raise PositivityError(
                 f"step {step}: no acceptable step after {MAX_BACKTRACKS} reductions"
             )
-        coef, rho = candidate, cand_rho
+        coef, g = candidate, cand_g
         current_obj = obj_new
         trace.append(TraceStep(step, f_new, obj_new, scale))
     return model.with_coefficients(coef), trace

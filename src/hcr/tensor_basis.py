@@ -72,8 +72,8 @@ class BasisSpec:
     prefix is a selected function's support less its last coordinate, at
     the orders the function has there.  Function p is the product of rows
     prefix[p] and last[p] (prefix[p] is 0 for the constant and one-factor
-    functions, a single row for two factors).  densities and ratio_sums
-    contract blocks of single rows with this plan.  Treated as immutable
+    functions, a single row for two factors).  contract reads blocks of
+    single rows with this plan.  Treated as immutable
     after construction.
     """
 
@@ -117,14 +117,17 @@ class BasisSpec:
         used = np.flatnonzero(np.bincount(code[orders > 0]))  # the single factors read
         single = 1 + np.searchsorted(used, code)  # each factor's row (on the support)
         self.single_count = len(used)
-        self._columns = []  # family, its coordinates, its single rows, their rows in its table
+        # family, the coordinates some function reads and the others (None
+        # when there are none), its single rows, their rows in its table
+        self._columns = []
         for i, (f, c) in enumerate(zip(families, cols)):
             lo, hi = np.searchsorted(used, [i * span, (i + 1) * span]).tolist()
             order, k = np.divmod(used[lo:hi] - i * span, d)
-            rows = (order - 1) * len(c) + np.searchsorted(c, k)
-            if c[-1] - c[0] == len(c) - 1:
-                c = slice(int(c[0]), int(c[-1]) + 1)  # a view, not a gather
-            self._columns.append((f, c, slice(lo, hi), rows))
+            reads = np.zeros(d, dtype=bool)
+            reads[k] = True  # the coordinates of this family's single rows
+            read, unread = c[reads[c]], c[~reads[c]]
+            rows = (order - 1) * len(read) + np.searchsorted(read, k)
+            self._columns.append((f, _view(read), _view(unread), slice(lo, hi), rows))
         # every prefix of two or more factors, keyed by its factors' rows
         keys = {tuple(row[:length]) for row, lvl in zip(single.tolist(), level.tolist())
                 for length in range(2, lvl)}
@@ -160,7 +163,7 @@ class BasisSpec:
                 first = 1 + len(used) if lvl > 2 else 1  # the factor row of the group's row 0
                 (arows, ai), (brows, bi) = _span(self.prefix[lo:hi] - first), _span(last[lo:hi] - 1)
                 self._groups.append((slice(lo, hi), lvl > 2, arows, brows, ai, bi))
-        # the last rows of every group, which ratio_sums scales once per block
+        # the last rows of every group, which contract scales once per block
         self._lasts = _span(last[bounds[1]:] - 1)[0]
 
     def __len__(self) -> int:
@@ -205,8 +208,9 @@ class BasisSpec:
     def _singles(self, points, fill: float, out=None) -> np.ndarray:
         """The single rows of the plan at each row of an (n, d) block of
         points, (single_count, n), written to out when given.  A factor at
-        a NaN cell reads fill.  eval_all runs once per family, whether or
-        not a function reads its rows, and validates the known cells."""
+        a NaN cell reads fill.  eval_all runs once per family on the
+        coordinates some function reads; the other known cells get its
+        checks without its table."""
         points = np.ascontiguousarray(np.asarray(points, dtype=float).T)  # coordinate, point
         n = points.shape[1]
         missing = np.isnan(points)
@@ -214,10 +218,14 @@ class BasisSpec:
         x = np.where(missing, 0.0, points) if gaps else points  # NaN reads 0, then fill
         if out is None:
             out = np.empty((self.single_count, n))
-        for family, cols, rows, table_rows in self._columns:
-            table = family.eval_all(x[cols])[1:]  # order, coordinate, point
+        for family, read, unread, rows, table_rows in self._columns:
+            if unread is not None:
+                family._check(x[unread])
+            if read is None:
+                continue
+            table = family.eval_all(x[read])[1:]  # order, coordinate, point
             if gaps:
-                table[:, missing[cols]] = fill
+                table = np.where(missing[read], fill, table)
             table = table.reshape(table.shape[0] * table.shape[1], n)
             table.take(table_rows, axis=0, out=out[rows], mode="clip")
         return out
@@ -234,15 +242,36 @@ class BasisSpec:
             mats[-1][bi, ai] = coef[fun]
         return head, mats
 
-    def densities(self, coef: np.ndarray, blocks, out: np.ndarray) -> np.ndarray:
-        """coef @ values(points, 0), written to out[rows] for each (rows,
-        _singles(points, 0)) of blocks; returns out.  Per block: the
-        constant, one GEMV over the one-factor functions' single rows, and
-        per level above one GEMM of its coefficient matrix over its prefix
-        rows, times its last rows and summed over them.  BLAS orders these
-        sums otherwise than coef @ values."""
+    def contract(self, coef: np.ndarray, blocks, out: np.ndarray, floor=None,
+                 usable=None, stop: bool = False):
+        """coef @ values(points, 0) written to out[rows] for each (rows,
+        _singles(points, 0)) of blocks, and with a floor, in the same pass,
+        values(points, 0) @ (1 / out[rows]) summed over the blocks.
+
+        Per block the density is the constant, one GEMV over the
+        one-factor functions' single rows, and per level above one GEMM of
+        its coefficient matrix over its prefix rows, times its last rows
+        and summed over them.  The sums are its transpose: 1/rho scales
+        the block's last rows once, and each level's GEMM reads its prefix
+        rows against them.  They are added block by block while every
+        density at a usable row (a boolean mask over out) so far is >=
+        floor, so no 1/rho is taken of a density below it.  Returns them,
+        one entry per selected function (0 for the constant), or None
+        without a floor or once a usable density fell below it; with stop,
+        the blocks after that one are not read.  A block's product rows
+        are rebuilt in one buffer sized for the first block (of _blocks,
+        the largest).  BLAS orders these sums otherwise than coef @ values.
+        """
         (head, mats), span = self._layout(coef), self._head[1]
-        for rows, S, P in self._with_products(blocks):
+        summing = floor is not None
+        if summing:
+            head_sums = np.zeros_like(head)
+            sums = [np.zeros(C.T.shape) for C in mats]  # C-ordered: adding into C.T is slower
+        m, buffer, lo = self.factor_count - 1 - self.single_count, None, self._lasts.start
+        for rows, S in blocks:
+            buffer = np.empty(m * S.shape[1]) if buffer is None else buffer
+            P = buffer[:m * S.shape[1]].reshape(m, S.shape[1])
+            self._products(S, P)
             r = head @ S[span]
             r += coef[0]  # the constant
             for C, (_, products, arows, brows, _, _) in zip(mats, self._groups):
@@ -250,38 +279,26 @@ class BasisSpec:
                 T *= S[brows]
                 r += T.sum(axis=0)
             out[rows] = r
-        return out
-
-    def ratio_sums(self, blocks, rho: np.ndarray) -> np.ndarray:
-        """The transpose of densities: values(points, 0) @ (1 / rho[rows])
-        summed over the (rows, _singles(points, 0)) of blocks, one entry
-        per selected function (0 for the constant).  1/rho scales each
-        block's last rows once, and each level's GEMM reads its prefix
-        rows against them."""
-        (funs, span, cols), (head, mats) = self._head, self._layout(np.zeros(len(self)))
-        sums = [np.zeros(C.T.shape) for C in mats]  # C-ordered: adding into C.T is slower
-        lo = self._lasts.start
-        for rows, S, P in self._with_products(blocks):
-            w = 1.0 / rho[rows]
-            head += S[span] @ w
+            if not summing:
+                continue
+            if not np.min(r, where=usable[rows], initial=np.inf) >= floor:  # NaN fails
+                if stop:
+                    return None
+                summing = False
+                continue
+            w = 1.0 / r
+            head_sums += S[span] @ w
             scaled = S[self._lasts] * w
             for G, (_, products, arows, brows, _, _) in zip(sums, self._groups):
                 G += (P if products else S)[arows] @ scaled[brows.start - lo:brows.stop - lo].T
-        out = np.zeros(len(self))
-        out[funs] = head[cols]
+        if not summing:
+            return None
+        funs, _, cols = self._head
+        grad = np.zeros(len(self))
+        grad[funs] = head_sums[cols]
         for G, (fun, _, _, _, ai, bi) in zip(sums, self._groups):
-            out[fun] = G[ai, bi]
-        return out
-
-    def _with_products(self, blocks):
-        """Each (rows, singles) of blocks with its product rows, rebuilt in
-        one buffer sized for the first block (of _blocks, the largest)."""
-        m, buffer = self.factor_count - 1 - self.single_count, None
-        for rows, S in blocks:
-            buffer = np.empty(m * S.shape[1]) if buffer is None else buffer
-            P = buffer[:m * S.shape[1]].reshape(m, S.shape[1])
-            self._products(S, P)
-            yield rows, S, P
+            grad[fun] = G[ai, bi]
+        return grad
 
     def values(self, points, fill: float) -> np.ndarray:
         """Every selected function at each row of an (n, d) block of
@@ -293,9 +310,14 @@ class BasisSpec:
         multiply in ascending coordinate order, so every caller gets the
         same products.
         """
+        from .estimator import FIT_BLOCK  # estimator imports this module
         F = self.factors(points, fill)
         out = F.take(self.last, axis=0)
-        out[self._pairs:] *= F[self.prefix[self._pairs:]]
+        # the prefix rows are gathered a chunk of an eighth of a row block at
+        # a time, not all at once; a one-row call stays one chunk
+        step = max(1, (FIT_BLOCK >> 3) // max(1, out.shape[1]))
+        for lo in range(self._pairs, len(out), step):
+            out[lo:lo + step] *= F[self.prefix[lo:lo + step]]
         return out
 
     def eval_function(self, j: MultiIndex, x: Sequence[float]) -> float:
@@ -312,6 +334,14 @@ class BasisSpec:
                 )
             out *= self.families[i].eval(j[i], xi)
         return out
+
+
+def _view(cols: np.ndarray):
+    """cols as a slice when they are consecutive (a view, not a gather),
+    None when there are none."""
+    if not cols.size:
+        return None
+    return slice(int(cols[0]), int(cols[-1]) + 1) if cols[-1] - cols[0] == len(cols) - 1 else cols
 
 
 def _span(rows: np.ndarray):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hcr import (NO_EVIDENCE, UNCERTAINTY_UNDEFINED, BasisSpec, Dataset, adapt,
-                 build_full, discrete, estimator, fit, lambda_schedule, legendre,
-                 prune, support, trig)
+from hcr import (NO_EVIDENCE, UNCERTAINTY_UNDEFINED, BasisSpec, Dataset, Model,
+                 RefineConfig, adapt, build_full, discrete, estimator, fit,
+                 lambda_schedule, legendre, prune, refine, support, trig)
 from hcr.likelihood import _Workspace
 
 SQ3 = math.sqrt(3.0)
@@ -442,20 +442,21 @@ def test_fit_memory_does_not_grow_with_the_record_count():
     assert large < 1.5 * small, (small, large)
 
 
-def _twenty_k_by_six():
-    """20k records of six beta(2, 3) coordinates with 20% of cells
+def _twenty_k_by_six(n=20_000):
+    """20k (or n) records of six beta(2, 3) coordinates with 20% of cells
     missing, and the 6-d Legendre basis with orders {1: 4, 2: 2, 3: 1}."""
-    rng = np.random.default_rng([7, 20_000])
-    x = rng.beta(2.0, 3.0, size=(20_000, 6))
+    rng = np.random.default_rng([7, n])
+    x = rng.beta(2.0, 3.0, size=(n, 6))
     x[rng.random(x.shape) < 0.2] = np.nan
     return build_full(6, legendre(4), {1: 4, 2: 2, 3: 1, 4: 0, 5: 0, 6: 0}), Dataset(x)
 
 
 def _workspace_pass_peak(model, data):
+    """The peak of the first pass and one density and gradient pass that
+    reads every block (no floor stops it)."""
     tracemalloc.start()
     try:
-        ws = _Workspace(model, data)
-        ws.gradient_vector(ws.densities(model.coef))
+        _Workspace(model, data).densities(model.coef, -np.inf, stop=False)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -472,9 +473,32 @@ def test_refine_workspace_holds_single_rows_and_one_block():
     spec, data = _twenty_k_by_six()
     peak = _workspace_pass_peak(fit(spec, data), data)
     # single_count = 24 single rows per record, where the product rows would
-    # add 11; beside them only one row block's temporaries: its tables and
-    # cover while it is built, its product rows while a pass reads it
+    # add 11, is more than a pass holds: a few floats per record, and one
+    # row block's temporaries (its tables, single and product rows)
     assert peak < (spec.single_count * data.n + estimator.FIT_BLOCK) * 8, peak
+
+
+def _refine_peak(n):
+    spec, data = _twenty_k_by_six(n)
+    model = Model(spec, np.zeros(len(spec)), {}, {})  # the uniform density
+    config = RefineConfig(steps=2, step_size=0.01)
+    refine(model, Dataset(data.values[:10]), config)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        refine(model, data, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_refine_memory_grows_by_a_few_floats_per_record():
+    spec, _ = _twenty_k_by_six(10)
+    small, large = _refine_peak(20_000), _refine_peak(80_000)
+    per_record = (large - small) / 60_000
+    # densities of the step and of its candidate, the masks and the complete
+    # rows' log-densities; keeping every record's single rows would add
+    # spec.single_count = 24 floats per record
+    assert per_record < 4 * 8 < spec.single_count * 8, per_record
 
 
 def test_fit_holds_one_block_of_values_at_a_time():
@@ -487,5 +511,6 @@ def test_fit_holds_one_block_of_values_at_a_time():
     finally:
         tracemalloc.stop()
     # one block of values is FIT_BLOCK * 8 bytes; building it also holds the
-    # block's factor rows and the gathered prefix rows, but never a second block
-    assert peak < 2.5 * estimator.FIT_BLOCK * 8, peak
+    # block's factor rows and one chunk of gathered prefix rows, but never a
+    # second block
+    assert peak < 2 * estimator.FIT_BLOCK * 8, peak

@@ -18,13 +18,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hcr
-from hcr import (BasisSpec, Completion, ConditionalSlice, Dataset, Model,
+from hcr import (BasisSpec, Completion, ConditionalSlice, Dataset, Family1D, Model,
                  NonpositiveMassError, PositivityError, RefineConfig, adapt, build_full,
                  build_sparse, conditional_slice, discrete, evaluate, find_negative_witness,
                  gradient, evaluate_points, impute, legendre, log_likelihood, refine,
                  support, trig)
 from hcr.density import _clusters, _derivative_roots, _extremes, _impute_rows
-from hcr.likelihood import _candidate_points, _halton, _Workspace
+from hcr.estimator import _blocks
+from hcr.likelihood import _POSITIVE, _candidate_points, _halton, _Workspace
 from hcr.tensor_basis import MAX_FUNCTIONS
 
 
@@ -325,8 +326,9 @@ def deep_sparse_spec(seed, d):
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(4, 6), n=st.integers(0, 9),
-       missing=st.sampled_from([0.0, 0.3, 1.0]), fill=st.sampled_from([0.0, 1.0]))
-def test_values_equal_the_level_tail_products_bit_for_bit(seed, d, n, missing, fill):
+       missing=st.sampled_from([0.0, 0.3, 1.0]), fill=st.sampled_from([0.0, 1.0]),
+       block=st.sampled_from([None, 8, 64]))  # values' gather chunk: 1 and 8 values
+def test_values_equal_the_level_tail_products_bit_for_bit(seed, d, n, missing, fill, block):
     spec, rng = deep_sparse_spec(seed, d)
     points = np.array([[random_value(rng, f) for f in spec.families] for _ in range(n)])
     points = points.reshape(n, d)
@@ -335,7 +337,8 @@ def test_values_equal_the_level_tail_products_bit_for_bit(seed, d, n, missing, f
         points[rng.integers(n)] = np.nan  # a fully-missing row
     if n and rng.random() < 0.5:
         points[:, rng.integers(d)] = np.nan  # a fully-missing column
-    got = spec.values(points, fill)
+    with mock.patch.object(hcr.estimator, "FIT_BLOCK", block or hcr.estimator.FIT_BLOCK):
+        got = spec.values(points, fill)
     assert got.shape == (len(spec), n)
     assert np.array_equal(got, level_tail_values(spec, points, fill))
     F = spec.factors(points, fill)
@@ -440,19 +443,101 @@ def test_workspace_reductions_match_the_function_values(rows, seed, d, missing, 
     else:
         model, rng = random_model(seed, d)
     values = random_records(rng, model, int(rng.integers(1, 10)), missing)
+    V = model.spec.values(values, 0)
     with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(model.spec)):
         ws = _Workspace(model, Dataset(values))
-    V = model.spec.values(values, 0)
-    # BLAS sums in its own order: each sum to 1e-12 of its terms' absolute sum
-    rho = ws.densities(model.coef)
-    assert np.all(np.abs(rho - model.coef @ V) <= 1e-12 * (np.abs(model.coef) @ np.abs(V)))
-    rho = np.where(np.abs(rho) > 0.1, rho, 0.1)  # any nonzero densities will do
+        # BLAS sums in its own order: each sum to 1e-12 of its terms' absolute sum
+        rho, _ = ws.densities(model.coef, None, stop=False)
+        assert np.all(np.abs(rho - model.coef @ V) <= 1e-12 * (np.abs(model.coef) @ np.abs(V)))
+        # the gradient is taken at the pass's own densities, so shrink the
+        # model toward the uniform density until every one is above 0.1
+        coef = model.coef * (0.9 / max(0.9, 1.0 - float(rho.min())))
+        coef[0] = 1.0
+        rho, grad = ws.densities(coef, _POSITIVE)
     w = 1 / rho
     has = ws.counts > 0
     want = np.divide(V @ w, ws.counts, out=np.zeros(len(V)), where=has)
     want[0] = 0.0
     scale = np.divide(np.abs(V) @ np.abs(w), ws.counts, out=np.zeros(len(V)), where=has)
-    assert np.all(np.abs(ws.gradient_vector(rho) - want) <= 1e-12 * scale)
+    assert np.all(np.abs(grad - want) <= 1e-12 * scale)
+
+
+def stored_reading(spec, coef, values):
+    """The reference reading of a workspace that builds every row block's
+    zero-filled single rows up front and keeps them: the densities over
+    the stored blocks, then, when every density is positive, the gradient
+    sums at them in a second pass over the same blocks (else None), each
+    with the GEMMs of BasisSpec.contract."""
+    blocks = []
+    for rows in _blocks(spec, len(values)):
+        S = spec._singles(values[rows], 0)
+        P = np.empty((spec.factor_count - 1 - spec.single_count, S.shape[1]))
+        spec._products(S, P)
+        blocks.append((rows, S, P))
+    (head, mats), span = spec._layout(coef), spec._head[1]
+    rho = np.empty(len(values))
+    for rows, S, P in blocks:
+        r = head @ S[span]
+        r += coef[0]
+        for C, (_, products, arows, brows, _, _) in zip(mats, spec._groups):
+            T = C @ (P if products else S)[arows]
+            T *= S[brows]
+            r += T.sum(axis=0)
+        rho[rows] = r
+    if rho.size and rho.min() <= 0:
+        return rho, None
+    (funs, span, cols), lo = spec._head, spec._lasts.start
+    head = np.zeros(span.stop - span.start)
+    sums = [np.zeros(C.T.shape) for C in mats]
+    for rows, S, P in blocks:
+        w = 1.0 / rho[rows]
+        head += S[span] @ w
+        scaled = S[spec._lasts] * w
+        for G, (_, products, arows, brows, _, _) in zip(sums, spec._groups):
+            G += (P if products else S)[arows] @ scaled[brows.start - lo:brows.stop - lo].T
+    out = np.zeros(len(spec))
+    out[funs] = head[cols]
+    for G, (fun, _, _, _, ai, bi) in zip(sums, spec._groups):
+        out[fun] = G[ai, bi]
+    return rho, out
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+       missing=st.sampled_from([0.0, 0.3, 0.6]), sparse=st.booleans())
+def test_streamed_pass_equals_the_stored_reading(rows, seed, d, missing, sparse):
+    spec, rng = (random_sparse_spec if sparse else random_full_spec)(seed, d)
+    model = Model(spec, rng.uniform(-0.3, 0.3, len(spec)), {}, {})
+    values = random_records(rng, model, int(rng.integers(1, 13)), missing)
+    with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(spec)):
+        ws = _Workspace(model, Dataset(values))
+        want, _ = stored_reading(spec, model.coef, values)
+        assert np.array_equal(ws.densities(model.coef, None, stop=False)[0], want)
+        # a model shrunk toward the uniform density, positive at every record
+        coef = model.coef * (0.9 / max(0.9, 1.0 - float(want.min())))
+        coef[0] = 1.0
+        want, sums = stored_reading(spec, coef, values)
+        rho, grad = ws.densities(coef, _POSITIVE)
+    assert np.array_equal(rho, want)
+    want = np.divide(sums, ws.counts, out=np.zeros_like(sums), where=ws.counts > 0)
+    want[0] = 0.0
+    assert np.array_equal(grad, want)
+
+
+def test_a_pass_stops_at_the_first_block_below_the_floor():
+    spec = build_full(1, legendre(1), 1)
+    model = Model(spec, [1.0, 0.5], {}, {})  # density 1 + 0.5 sqrt(3) (2x - 1)
+    values = np.array([[0.9], [0.0], [np.nan], [0.5]])  # densities 1.69, 0.13, 1, 1
+    with mock.patch.object(hcr.estimator, "FIT_BLOCK", len(spec)):  # one row per block
+        ws = _Workspace(model, Dataset(values))
+        with mock.patch.object(spec, "_singles", wraps=spec._singles) as singles:
+            rho, grad = ws.densities(model.coef, 0.2)
+            assert grad is None and singles.call_count == 2  # the blocks of rows 0 and 1
+            assert rho[0] > 1.6 and rho[1] < 0.2
+            rho, grad = ws.densities(model.coef, 0.2, stop=False)  # every density, no sums
+            assert grad is None and singles.call_count == 6
+            assert rho[1] < 0.2 and rho[2:].tolist() == [1.0, 1.0]
+            assert ws.densities(model.coef, 0.1)[1] is not None  # every density clears 0.1
 
 
 def random_full_spec(seed, d):
@@ -476,7 +561,7 @@ def test_evaluate_points_and_refine_read_one_kernel(rows, seed, d, n, sparse):
     data = Dataset(values.reshape(n, d))  # complete records
     with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(spec)):
         ws = _Workspace(model, data)
-        rho = ws.densities(model.coef)
+        rho, _ = ws.densities(model.coef, None)
         assert np.array_equal(evaluate_points(model, data.values), rho)
         if rho.min() > 0:
             assert log_likelihood(model, data) == ws.loglik(rho)
@@ -490,7 +575,29 @@ def test_workspace_keeps_only_the_single_rows_read():
     values = np.random.default_rng(3).random((5, 10))
     ws = _Workspace(Model(spec, np.zeros(len(spec)), {}, {}), Dataset(values))
     assert (len(spec), spec.factor_count) == (17, 9)  # the constant and the 8 single rows
-    assert [S.shape for _, S in ws.blocks] == [(8, 5)]  # orders 1..4 of coordinates 0 and 1
+    with mock.patch.object(spec, "_singles", wraps=spec._singles) as singles:
+        ws.densities(np.zeros(len(spec)), _POSITIVE)
+    # orders 1..4 of coordinates 0 and 1
+    assert [call.args[0].shape for call in singles.call_args_list] == [(5, 10)]
+    assert spec._singles(values, 0).shape == (8, 5)
+
+
+def test_unread_coordinates_are_checked_without_their_tables():
+    families = (legendre(4),) * 9 + (discrete(5, 2),)
+    spec = build_sparse(10, families, [(0, 1)], 4)
+    model = Model(spec, np.zeros(len(spec)), {}, {})
+    points = np.random.default_rng(3).random((5, 10))
+    points[:, 9] = 0.25  # on the discrete grid
+    with mock.patch.object(Family1D, "eval_all", autospec=True,
+                           side_effect=Family1D.eval_all) as eval_all:
+        assert np.array_equal(evaluate_points(model, points), np.ones(5))
+    # the tables of coordinates 0 and 1 only
+    assert [np.shape(call.args[1]) for call in eval_all.call_args_list] == [(2, 5)]
+    for i, bad in ((5, 1.5), (9, -0.1), (9, 0.3)):  # out of [0,1], and off the 5-point grid
+        broken = points.copy()
+        broken[2, i] = bad
+        with pytest.raises(ValueError, match="outside|grid"):
+            evaluate_points(model, broken)
 
 
 def ref_first_step(model, values, config):
