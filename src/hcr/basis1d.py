@@ -138,31 +138,40 @@ class Family1D:
         return self._grid_index(arr) if self.kind == DISCRETE else None
 
     def _stack(self, arr: np.ndarray) -> np.ndarray:
-        """eval_all of a float array in [0,1], unchecked, each row computed
-        in place.  Legendre rows follow the three-term recurrence on
-        t = 2x-1, P_n = ((2n-1) t P_{n-1} - (n-1) P_{n-2}) / n, scaled by
-        sqrt(2n+1) for unit norm on [0,1]."""
-        m = self.max_order
-        if self.kind == DISCRETE:
-            return _discrete_table(self.v)[:m + 1, np.rint(arr * (self.v - 1)).astype(int)]
-        out = np.empty((m + 1,) + arr.shape)
+        """eval_all of a float array in [0,1], unchecked: the constant row,
+        then _write_orders of orders 1..max_order."""
+        out = np.empty((self.max_order + 1,) + arr.shape)
         out[0] = 1.0
-        if self.kind == LEGENDRE:
-            if m:
-                t = np.multiply(arr, 2, out=out[1, ...])
+        self._write_orders(arr, out[1:])
+        return out
+
+    def _write_orders(self, arr: np.ndarray, out: np.ndarray) -> None:
+        """Orders 1..top of a float array in [0,1], unchecked, written into
+        out, shape (top,) + arr.shape with top <= max_order, each row
+        computed in place; NaN passes through a Legendre or trig row.
+        Legendre rows follow the three-term recurrence on t = 2x-1,
+        P_n = ((2n-1) t P_{n-1} - (n-1) P_{n-2}) / n with P_0 = 1, scaled
+        by sqrt(2n+1) for unit norm on [0,1]."""
+        top = len(out)
+        if self.kind == DISCRETE:
+            index = np.rint(arr * (self.v - 1)).astype(np.intp)
+            # every index is valid, so "clip" only skips numpy's buffering
+            _discrete_table(self.v)[1:top + 1].take(index, axis=1, out=out, mode="clip")
+        elif self.kind == LEGENDRE:
+            if top:
+                t = np.multiply(arr, 2, out=out[0, ...])  # out[n - 1] holds P_n
                 t -= 1
-            for n in range(2, m + 1):  # unscaled P_n
-                p = np.multiply(t, 2 * n - 1, out=out[n, ...])
-                p *= out[n - 1]
-                p -= (n - 1) * out[n - 2]
+            for n in range(2, top + 1):  # unscaled P_n
+                p = np.multiply(t, 2 * n - 1, out=out[n - 1, ...])
+                p *= out[n - 2]
+                p -= (n - 1) * out[n - 3] if n > 2 else 1.0
                 p /= n
-            out[1:] *= _legendre_scale(m, arr.ndim)
+            out *= _legendre_scale(top, arr.ndim)
         else:
-            for j in range(1, m + 1):
-                p = np.multiply(arr, 2 * np.pi * ((j + 1) // 2), out=out[j, ...])
+            for j in range(1, top + 1):
+                p = np.multiply(arr, 2 * np.pi * ((j + 1) // 2), out=out[j - 1, ...])
                 (np.sin if j % 2 == 1 else np.cos)(p, out=p)
                 p *= _SQ2
-        return out
 
     def snap(self, x):
         """x clipped into [0,1] (NaN to 0), then for a discrete family rounded

@@ -17,10 +17,10 @@ from .dataset import (DEFAULT_MISSING_TOKENS, _finite, _opened, column_specs, fi
 from .density import (CLUSTER_SPLIT, EXPECTED, TOP_MODE, _impute_rows, clamp,
                       conditional_slice, evaluate)
 from .errors import HcrError, NonpositiveMassError, PositivityError, TableError
-from .estimator import _blocks, fit
+from .estimator import fit
 from .likelihood import RefineConfig, find_negative_witness, refine
 from .model_io import load_model, load_transforms, save_model, save_transforms
-from .tensor_basis import build_full, support
+from .tensor_basis import _blocks, build_full, support
 
 __all__ = ["main"]
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .basis1d import Family1D, _legendre_scale, _moment_table, gauss_nodes
 from .errors import MissingCoordinateError, NonpositiveMassError
-from .estimator import Model, _blocks
+from .estimator import Model
+from .tensor_basis import _blocks
 
 __all__ = [
     "evaluate",
@@ -41,8 +42,9 @@ MASS_FLOOR = 0.01  # cluster-split slivers below this merge into a neighbor
 
 def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
     """Densities at an (n, d) block of points: BasisSpec.contract over
-    the zero-filled single rows of each row block of FIT_BLOCK function
-    values, the contraction refine reads; it equals coef @ values to
+    BasisSpec.single_blocks, the zero-filled single rows of each row block
+    of FIT_BLOCK function values refilled in one buffer, the contraction
+    and the blocks refine reads; it equals coef @ values to
     1e-12 of the terms' absolute sum.  A NaN cell raises
     MissingCoordinateError unless no selected function reads its
     coordinate (as for the coordinates a marginal model dropped)."""
@@ -55,10 +57,8 @@ def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
         raise MissingCoordinateError(
             f"point {row} is missing coordinates {np.flatnonzero(missing[row]).tolist()}; "
             "use conditional_slice")
-    spec = model.spec
-    blocks = ((rows, spec._singles(points[rows], 0)) for rows in _blocks(spec, len(points)))
     out = np.empty(len(points))
-    spec.contract(model.coef, blocks, out)
+    model.spec.contract(model.coef, model.spec.single_blocks(points), out)
     return out
 
 

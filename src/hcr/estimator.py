@@ -15,13 +15,12 @@ from types import MappingProxyType
 import numpy as np
 
 from .dataset import Dataset
-from .tensor_basis import BasisSpec, MultiIndex, support
+from .tensor_basis import BasisSpec, MultiIndex, _blocks, support
 
 __all__ = ["Model", "fit", "adapt", "prune", "lambda_schedule"]
 
 NO_EVIDENCE = "no-evidence"
 UNCERTAINTY_UNDEFINED = "uncertainty-undefined"
-FIT_BLOCK = 1 << 18  # function values (functions x rows) a row-blocked loop holds at once
 
 
 def _aligned(spec: BasisSpec, values, constant, default=None, key=None):
@@ -121,13 +120,6 @@ class Model:
                      list(compress(self.term_flags, rows)), self.transforms, self.names)
 
 
-def _blocks(spec: BasisSpec, n: int, per_value: int = 1):
-    """Row slices of n rows, at most FIT_BLOCK // per_value function
-    values each (one row at least); the last one stops at n."""
-    step = max(1, FIT_BLOCK // (per_value * len(spec)))
-    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
-
-
 def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
         transforms: list | None = None) -> Model:
     """Average every selected basis function over its evidence records.
@@ -137,28 +129,40 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     its standard error (ddof=1).  Zero evidence yields coefficient 0
     with a flag rather than an error, keeping large sparse fits total.
 
-    Records are read in blocks of at most FIT_BLOCK function values.  Each
-    block's sums, and its squared deviations from its own means, are merged
-    into the running ones (Chan et al.), so the memory does not grow with
-    the record count and no digits cancel in the uncertainty.
+    Records are read in row blocks of at most FIT_BLOCK function values.
+    A block's factor rows and cover are built once; then, one _chunks
+    chunk of functions at a time, their values are formed (by the product
+    routine of BasisSpec.values), summed, turned into deviations from the
+    block's means and squared, so no functions x rows block of values
+    exists.  Each block's sums, and its squared deviations from its own
+    means, are merged into the running ones (Chan et al.), so the memory
+    does not grow with the record count and no digits cancel in the
+    uncertainty.
     """
     if data.d != spec.d:
         raise ValueError(f"data has {data.d} coordinates, spec expects {spec.d}")
     count, coef, m2 = np.zeros((3, len(spec)))
+    buffer = None
     for rows in _blocks(spec, data.n):
         block = data.values[rows]
-        V = spec.values(block, 0)
+        F = spec.factors(block, 0)
         cover = spec.covered(~np.isnan(block))
         c = cover.sum(axis=1, dtype=np.int32)  # int32: no buffered bool-to-int64 cast
-        mean = np.divide(V.sum(axis=1), c, out=np.zeros_like(coef), where=c > 0)
-        V -= mean[:, None]
-        V *= cover  # deviations where covered, 0 elsewhere
+        mean, squares = np.zeros((2, len(spec)))
+        for funs in spec._chunks(len(block)):
+            size = (funs.stop - funs.start) * len(block)
+            buffer = np.empty(size) if buffer is None or buffer.size < size else buffer
+            V = spec._functions(F, funs, buffer[:size].reshape(-1, len(block)))
+            np.divide(V.sum(axis=1), c[funs], out=mean[funs], where=c[funs] > 0)
+            V -= mean[funs, None]
+            V *= cover[funs]  # deviations where covered, 0 elsewhere
+            squares[funs] = np.einsum("pr,pr->p", V, V)
         share = np.divide(c, count + c, out=np.zeros_like(coef), where=c > 0)
         delta = mean - coef
         coef += delta * share
-        m2 += np.einsum("pr,pr->p", V, V) + delta * delta * count * share
+        m2 += squares + delta * delta * count * share
         count += c
-        del V, cover  # so the next block's values are built without these
+        del F, cover  # so the next block's rows are built without these
     unc = np.sqrt(np.divide(m2, count * (count - 1), out=np.full_like(m2, np.nan), where=count > 1))
     flags = np.where(count == 0, NO_EVIDENCE, np.where(count == 1, UNCERTAINTY_UNDEFINED, ""))
     unc[0], flags[0] = 0.0, ""

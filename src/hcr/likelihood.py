@@ -17,8 +17,8 @@ import numpy as np
 from .dataset import Dataset
 from .density import evaluate, evaluate_points
 from .errors import NonpositiveMassError, PositivityError
-from .estimator import Model, _blocks
-from .tensor_basis import MultiIndex
+from .estimator import Model
+from .tensor_basis import MultiIndex, _blocks
 
 __all__ = [
     "RefineConfig",
@@ -74,9 +74,10 @@ _POSITIVE = np.finfo(float).smallest_subnormal  # a density is >= this iff it is
 class _Workspace:
     """A record set read in FIT_BLOCK row blocks.  It keeps each
     function's evidence counts and the usable and complete masks from a
-    first pass; every later pass, one per density evaluation, builds each
-    block's zero-filled single rows again from the records instead of
-    storing them, so it holds a few floats per record and one block."""
+    first pass; every later pass, one per density evaluation, reads the
+    records through BasisSpec.single_blocks, which refills one buffer of
+    zero-filled single rows per block instead of storing them, so it
+    holds a few floats per record and one block."""
 
     def __init__(self, model: Model, data: Dataset):
         if data.d != model.d:
@@ -101,14 +102,22 @@ class _Workspace:
         first block holding a usable density below floor ends the pass,
         and the densities after it are left unset."""
         rho = np.empty(len(self.usable))
-        blocks = ((rows, self.spec._singles(self.records[rows], 0))
-                  for rows in _blocks(self.spec, len(rho)))
-        sums = self.spec.contract(coef, blocks, rho, floor, self.usable, stop)
-        if sums is None:
+        sums = None if floor is None else np.zeros(len(self.spec))
+        held = self.spec.contract(coef, self.spec.single_blocks(self.records), rho, floor,
+                                  self.usable, stop, grad=sums)
+        if not held or sums is None:
             return rho, None
         grad = np.divide(sums, self.counts, out=np.zeros_like(sums), where=self.counts > 0)
         grad[0] = 0.0  # the constant coefficient is fixed
         return rho, grad
+
+    def clears(self, coef: np.ndarray, floor: float):
+        """The densities pass of densities without the gradient sums:
+        the densities at coef, and whether every usable one is >= floor.
+        The first block holding a usable density below floor ends it."""
+        rho = np.empty(len(self.usable))
+        return rho, self.spec.contract(coef, self.spec.single_blocks(self.records), rho, floor,
+                                       self.usable, stop=True)
 
     def loglik(self, rho: np.ndarray) -> float:
         if not self.complete.any():
@@ -169,8 +178,9 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
     shrinks.  Each candidate costs one pass over the records in row
     blocks, which yields its densities and, when they keep the margin,
     the gradient at them: an accepted candidate's pass already holds the
-    next step's gradient.  A pass stops at the first block below the
-    margin.
+    next step's gradient.  The last step's candidates only check the
+    margin, without the gradient sums.  A pass stops at the first block
+    below the margin.
     """
     ws = _Workspace(model, data)
     coef = model.coef  # coef[0], the constant's, stays 1: its gradient entry is 0
@@ -191,8 +201,12 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
         scale = config.step_size
         for attempt in range(MAX_BACKTRACKS + 1):
             candidate = coef + scale * g
-            cand_rho, cand_g = ws.densities(candidate, floor)
-            if cand_g is not None:
+            if step < config.steps - 1:
+                cand_rho, cand_g = ws.densities(candidate, floor)
+                held = cand_g is not None
+            else:  # no later step reads the last step's gradient
+                (cand_rho, held), cand_g = ws.clears(candidate, floor), None
+            if held:
                 f_new, obj_new = objective(candidate, cand_rho)
                 monotone = (not all_complete or np.isnan(obj_new)
                             or obj_new >= current_obj - 1e-12 * (1 + abs(current_obj)))

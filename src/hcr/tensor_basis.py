@@ -29,6 +29,7 @@ __all__ = [
 MultiIndex = tuple  # length-d tuple of non-negative int orders
 
 MAX_FUNCTIONS = 1_000_000  # build_full refuses larger bases before building them
+FIT_BLOCK = 1 << 18  # function values (functions x rows) a row-blocked loop holds at once
 
 
 def support(j: MultiIndex) -> tuple[int, ...]:
@@ -65,8 +66,9 @@ class BasisSpec:
     coordinate's _moment_table, zero-padded to (d, 3, width).
 
     The factor plan: factors() gives factor_count rows per point.  Row 0
-    is the constant 1; rows 1..single_count are the single rows, one per
-    (coordinate, order >= 1) that some selected function reads, ordered
+    is the constant 1; rows 1..single_count are the single rows: per
+    family, orders 1..top (its highest order some selected function
+    reads) of each of its coordinates that some function reads, ordered
     by family, then order, then coordinate; then one product row
     per prefix of two or more factors, shorter prefixes first, where a
     prefix is a selected function's support less its last coordinate, at
@@ -107,33 +109,31 @@ class BasisSpec:
         """The factor plan of the class docstring, each family's coordinates
         and single rows, and the groups of the contraction."""
         d, level = self.d, self.touch.sum(axis=1)
-        span = (int(self.orders.max(initial=0)) + 1) * d  # the codes of one family
         families = list(dict.fromkeys(self.families))
         kind = np.array([families.index(f) for f in self.families], dtype=np.intp)
         cols = [np.flatnonzero(kind == i) for i in range(len(families))]
         coords = np.argsort(self.orders == 0, axis=1, kind="stable")  # support, ascending
         orders = np.take_along_axis(self.orders, coords, axis=1)
-        code = kind[coords] * span + orders * d + coords  # family, order, coordinate
-        used = np.flatnonzero(np.bincount(code[orders > 0]))  # the single factors read
-        single = 1 + np.searchsorted(used, code)  # each factor's row (on the support)
-        self.single_count = len(used)
-        # family, the coordinates some function reads and the others (None
-        # when there are none), its single rows, their rows in its table
-        self._columns = []
-        for i, (f, c) in enumerate(zip(families, cols)):
-            lo, hi = np.searchsorted(used, [i * span, (i + 1) * span]).tolist()
-            order, k = np.divmod(used[lo:hi] - i * span, d)
-            reads = np.zeros(d, dtype=bool)
-            reads[k] = True  # the coordinates of this family's single rows
-            read, unread = c[reads[c]], c[~reads[c]]
-            rows = (order - 1) * len(read) + np.searchsorted(read, k)
-            self._columns.append((f, _view(read), _view(unread), slice(lo, hi), rows))
+        # family, its coordinates, those some function reads (None when
+        # there are none), its single rows and its highest order read
+        at_single = np.zeros((d, self.width), dtype=np.intp)  # the row of (coordinate, order)
+        self._columns, count = [], 0
+        for f, c in zip(families, cols):
+            read = c[self.touch[:, c].any(axis=0)]
+            top = int(self.orders[:, c].max(initial=0))
+            at_single[read, 1:top + 1] = 1 + count + np.add.outer(np.arange(len(read)),
+                                                                  np.arange(top) * len(read))
+            self._columns.append((f, _view(c), _view(read), slice(count, count + top * len(read)),
+                                  top))
+            count += top * len(read)
+        self.single_count = count
+        single = at_single[coords, orders]  # each factor's row (on the support)
         # every prefix of two or more factors, keyed by its factors' rows
         keys = {tuple(row[:length]) for row, lvl in zip(single.tolist(), level.tolist())
                 for length in range(2, lvl)}
         keys = sorted(keys, key=lambda key: (len(key), key))
         at = {key: r for r, key in enumerate(keys)}  # a prefix's row among the product rows
-        self.factor_count = 1 + len(used) + len(keys)
+        self.factor_count = 1 + count + len(keys)
         # per prefix length, the plan of _products, its rows counted from
         # the first single row and the first product row
         self._prefixes = []
@@ -147,7 +147,7 @@ class BasisSpec:
         last = np.zeros(len(level), dtype=np.intp)  # the constant's is the constant row
         last[1:] = single[np.arange(1, len(level)), level[1:] - 1]
         prefix = [0 if lvl < 2 else row[0] if lvl == 2
-                  else 1 + len(used) + at[tuple(row[:lvl - 1])]  # a product row
+                  else 1 + count + at[tuple(row[:lvl - 1])]  # a product row
                   for row, lvl in zip(single.tolist(), level.tolist())]
         self.prefix, self.last = np.array(prefix, dtype=np.intp), last
         self._pairs = int(np.searchsorted(level, 2))  # the first function of two factors
@@ -160,7 +160,7 @@ class BasisSpec:
         self._groups = []  # functions, products?, prefix rows, last rows, each (row, column)
         for lvl, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), start=2):
             if lo < hi:
-                first = 1 + len(used) if lvl > 2 else 1  # the factor row of the group's row 0
+                first = 1 + count if lvl > 2 else 1  # the factor row of the group's row 0
                 (arows, ai), (brows, bi) = _span(self.prefix[lo:hi] - first), _span(last[lo:hi] - 1)
                 self._groups.append((slice(lo, hi), lvl > 2, arows, brows, ai, bi))
         # the last rows of every group, which contract scales once per block
@@ -177,12 +177,21 @@ class BasisSpec:
 
     def covered(self, present) -> np.ndarray:
         """Functions x rows of an (n, d) presence mask, true where the row
-        knows the function's whole support; one pass per packed byte of d."""
+        knows the function's whole support; one pass per packed byte of d,
+        an in-place bitwise_and and equal in one byte buffer (the result's
+        own bytes for the first byte), so beside the result it holds one
+        functions x rows byte array at most, and none while d <= 8."""
         codes = np.packbits(present, axis=1).T  # byte, row
-        cover = np.ones((len(self), len(present)), bool)
-        for code, need in zip(codes, self._need):
-            cover &= (code & need) == need
-        return cover
+        cover = np.ones((len(self), len(present)), np.uint8)
+        scratch = cover
+        for k, (code, need) in enumerate(zip(codes, self._need)):
+            if k == 1:
+                scratch = np.empty_like(cover)
+            np.bitwise_and(code, need, out=scratch)
+            np.equal(scratch, need, out=scratch)  # 1 where the byte's coordinates are known
+            if k:
+                cover &= scratch
+        return cover.view(bool)
 
     def factors(self, points, fill: float) -> np.ndarray:
         """The factor rows of the plan at each row of an (n, d) block of
@@ -207,27 +216,28 @@ class BasisSpec:
 
     def _singles(self, points, fill: float, out=None) -> np.ndarray:
         """The single rows of the plan at each row of an (n, d) block of
-        points, (single_count, n), written to out when given.  A factor at
-        a NaN cell reads fill.  eval_all runs once per family on the
-        coordinates some function reads; the other known cells get its
-        checks without its table."""
-        points = np.ascontiguousarray(np.asarray(points, dtype=float).T)  # coordinate, point
+        points, (single_count, n), written to out (C-contiguous) when given.
+        Per family, every known cell gets eval_all's checks, and
+        Family1D._write_orders writes orders 1..top of the coordinates some
+        function reads straight into their rows; then a factor at a NaN
+        cell reads fill, written in place."""
+        points = np.asarray(points, dtype=float).T.copy()  # coordinate, point
         n = points.shape[1]
         missing = np.isnan(points)
         gaps = missing.any()
-        x = np.where(missing, 0.0, points) if gaps else points  # NaN reads 0, then fill
+        if gaps:
+            points[missing] = 0.0  # checked and evaluated as 0, then read as fill
         if out is None:
             out = np.empty((self.single_count, n))
-        for family, read, unread, rows, table_rows in self._columns:
-            if unread is not None:
-                family._check(x[unread])
+        for family, cols, read, rows, top in self._columns:
+            family._check(points[cols])
             if read is None:
                 continue
-            table = family.eval_all(x[read])[1:]  # order, coordinate, point
+            x = points[read]
+            table = out[rows].reshape((top,) + x.shape)  # order, coordinate, point: a view
+            family._write_orders(x, table)
             if gaps:
-                table = np.where(missing[read], fill, table)
-            table = table.reshape(table.shape[0] * table.shape[1], n)
-            table.take(table_rows, axis=0, out=out[rows], mode="clip")
+                table[:, missing[read]] = fill
         return out
 
     def _layout(self, coef: np.ndarray):
@@ -243,27 +253,27 @@ class BasisSpec:
         return head, mats
 
     def contract(self, coef: np.ndarray, blocks, out: np.ndarray, floor=None,
-                 usable=None, stop: bool = False):
+                 usable=None, stop: bool = False, grad=None) -> bool:
         """coef @ values(points, 0) written to out[rows] for each (rows,
-        _singles(points, 0)) of blocks, and with a floor, in the same pass,
-        values(points, 0) @ (1 / out[rows]) summed over the blocks.
+        _singles(points, 0)) of blocks.  Returns whether every density at a
+        usable row (a boolean mask over out) is >= floor, True without a
+        floor; with stop, the blocks after the first one below it are not
+        read.  Given grad (zeros, one entry per selected function), the
+        same pass adds values(points, 0) @ (1 / out[rows]) into it block by
+        block while every usable density so far is >= floor, so no 1/rho is
+        taken of a density below it; the constant's entry stays 0.
 
         Per block the density is the constant, one GEMV over the
         one-factor functions' single rows, and per level above one GEMM of
         its coefficient matrix over its prefix rows, times its last rows
         and summed over them.  The sums are its transpose: 1/rho scales
         the block's last rows once, and each level's GEMM reads its prefix
-        rows against them.  They are added block by block while every
-        density at a usable row (a boolean mask over out) so far is >=
-        floor, so no 1/rho is taken of a density below it.  Returns them,
-        one entry per selected function (0 for the constant), or None
-        without a floor or once a usable density fell below it; with stop,
-        the blocks after that one are not read.  A block's product rows
-        are rebuilt in one buffer sized for the first block (of _blocks,
-        the largest).  BLAS orders these sums otherwise than coef @ values.
+        rows against them.  A block's product rows are rebuilt in one
+        buffer sized for the first block (of _blocks, the largest).  BLAS
+        orders these sums otherwise than coef @ values.
         """
         (head, mats), span = self._layout(coef), self._head[1]
-        summing = floor is not None
+        summing, held = grad is not None, True
         if summing:
             head_sums = np.zeros_like(head)
             sums = [np.zeros(C.T.shape) for C in mats]  # C-ordered: adding into C.T is slower
@@ -279,45 +289,70 @@ class BasisSpec:
                 T *= S[brows]
                 r += T.sum(axis=0)
             out[rows] = r
-            if not summing:
+            if floor is None or not held:
                 continue
             if not np.min(r, where=usable[rows], initial=np.inf) >= floor:  # NaN fails
                 if stop:
-                    return None
-                summing = False
+                    return False
+                held = False
+                continue
+            if not summing:
                 continue
             w = 1.0 / r
             head_sums += S[span] @ w
             scaled = S[self._lasts] * w
             for G, (_, products, arows, brows, _, _) in zip(sums, self._groups):
                 G += (P if products else S)[arows] @ scaled[brows.start - lo:brows.stop - lo].T
-        if not summing:
-            return None
-        funs, _, cols = self._head
-        grad = np.zeros(len(self))
-        grad[funs] = head_sums[cols]
-        for G, (fun, _, _, _, ai, bi) in zip(sums, self._groups):
-            grad[fun] = G[ai, bi]
-        return grad
+        if summing and held:
+            funs, _, cols = self._head
+            grad[funs] = head_sums[cols]
+            for G, (fun, _, _, _, ai, bi) in zip(sums, self._groups):
+                grad[fun] = G[ai, bi]
+        return held
+
+    def single_blocks(self, points):
+        """(rows, _singles(points[rows], 0)) for each row block of _blocks
+        over an (n, d) array of points; every block's single rows are
+        written into one buffer sized for the first (the largest), so a
+        block's rows are valid until the next block is read."""
+        buffer = None
+        for rows in _blocks(self, len(points)):
+            n = rows.stop - rows.start
+            buffer = np.empty(self.single_count * n) if buffer is None else buffer
+            S = buffer[:self.single_count * n].reshape(self.single_count, n)
+            yield rows, self._singles(points[rows], 0, S)
+
+    def _chunks(self, n: int):
+        """Slices of the selected functions, FIT_BLOCK >> 3 values each at n
+        points (one function at least); one chunk while n is small."""
+        step = max(1, (FIT_BLOCK >> 3) // max(1, n))
+        return (slice(lo, min(lo + step, len(self))) for lo in range(0, len(self), step))
+
+    def _functions(self, F: np.ndarray, funs: slice, out: np.ndarray) -> np.ndarray:
+        """The functions funs (a slice of selected) at the columns of the
+        factor rows F, written to out: each one's last row times its prefix
+        row (none for the constant and the one-factor functions)."""
+        F.take(self.last[funs], axis=0, out=out, mode="clip")  # "clip": no buffering
+        pairs = max(0, self._pairs - funs.start)
+        if pairs < len(out):
+            out[pairs:] *= F[self.prefix[funs][pairs:]]
+        return out
 
     def values(self, points, fill: float) -> np.ndarray:
         """Every selected function at each row of an (n, d) block of
         points, (functions, n): the product of its prefix and last rows
-        of factors(points, fill).
+        of factors(points, fill), formed by _functions one _chunks chunk at
+        a time, so no gather larger than a chunk is made.
 
         With fill 0 a function whose support misses a cell is exactly 0;
         with fill 1 the unknown factors drop out.  The support factors
         multiply in ascending coordinate order, so every caller gets the
         same products.
         """
-        from .estimator import FIT_BLOCK  # estimator imports this module
         F = self.factors(points, fill)
-        out = F.take(self.last, axis=0)
-        # the prefix rows are gathered a chunk of an eighth of a row block at
-        # a time, not all at once; a one-row call stays one chunk
-        step = max(1, (FIT_BLOCK >> 3) // max(1, out.shape[1]))
-        for lo in range(self._pairs, len(out), step):
-            out[lo:lo + step] *= F[self.prefix[lo:lo + step]]
+        out = np.empty((len(self), F.shape[1]))
+        for funs in self._chunks(F.shape[1]):
+            self._functions(F, funs, out[funs])
         return out
 
     def eval_function(self, j: MultiIndex, x: Sequence[float]) -> float:
@@ -334,6 +369,13 @@ class BasisSpec:
                 )
             out *= self.families[i].eval(j[i], xi)
         return out
+
+
+def _blocks(spec: BasisSpec, n: int, per_value: int = 1):
+    """Row slices of n rows, at most FIT_BLOCK // per_value function
+    values each (one row at least); the last one stops at n."""
+    step = max(1, FIT_BLOCK // (per_value * len(spec)))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def _view(cols: np.ndarray):

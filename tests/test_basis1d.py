@@ -6,7 +6,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_sh_legendre
 
 from hcr import Family1D, discrete, gauss_nodes, legendre, trig
-from hcr.basis1d import _moment_table
+from hcr.basis1d import _discrete_table, _moment_table
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -251,9 +251,12 @@ def test_eval_all_matches_eval():
 def ref_eval_all(fam, x):
     """The recurrence written out with fresh temporaries: t = 2x-1,
     P_n = ((2n-1) t P_{n-1} - (n-1) P_{n-2}) / n, then sqrt(2n+1) per row;
-    sqrt(2) sin/cos of frequency (j+1)//2."""
+    sqrt(2) sin/cos of frequency (j+1)//2; a discrete family's table at
+    the nearest grid point."""
     arr = np.asarray(x, dtype=float)
     m = fam.max_order
+    if fam.kind == "discrete":
+        return _discrete_table(fam.v)[:m + 1, np.abs(arr[..., None] - fam.grid).argmin(axis=-1)]
     out = np.empty((m + 1,) + arr.shape)
     out[0] = 1.0
     if fam.kind == "legendre":
@@ -268,20 +271,34 @@ def ref_eval_all(fam, x):
     return out
 
 
-@pytest.mark.parametrize("kind", ["legendre", "trig"])
+@pytest.mark.parametrize("kind", ["legendre", "trig", "discrete"])
 def test_eval_all_matches_the_reference_recurrence_bit_for_bit(kind):
     rng = np.random.default_rng(105)
-    inputs = (0.3, np.float64(1.0), np.array(0.0), rng.random(9), rng.random((3, 4)),
-              np.array([[0.0, np.nan], [1.0, 0.5]]))
     for m in range(21):
-        fam = Family1D(kind, m)
+        if kind == "discrete":  # grid points; NaN is not a grid value
+            fam = Family1D(kind, m, max(2, m + 1))
+            grid = fam.grid
+            inputs = (float(grid[-1]), np.float64(grid[0]), np.array(grid[m // 2]),
+                      rng.choice(grid, 9), rng.choice(grid, (3, 4)))
+        else:
+            fam = Family1D(kind, m)
+            inputs = (0.3, np.float64(1.0), np.array(0.0), rng.random(9), rng.random((3, 4)),
+                      np.array([[0.0, np.nan], [1.0, 0.5]]))
         for x in inputs:
             got, want = fam.eval_all(x), ref_eval_all(fam, x)
             assert got.shape == want.shape == (m + 1,) + np.shape(x)
             assert got.tobytes() == want.tobytes()
             assert fam._stack(np.asarray(x, dtype=float)).tobytes() == want.tobytes()
-        nan_column = fam.eval_all(inputs[-1])[:, 0, 1]
-        assert nan_column[0] == 1.0 and np.isnan(nan_column[1:]).all()  # NaN passes through
+            for top in range(m + 1):  # orders 1..top written into a caller's buffer
+                out = np.full((top,) + np.shape(x), -7.0)
+                fam._write_orders(np.asarray(x, dtype=float), out)
+                assert out.tobytes() == want[1:top + 1].tobytes()
+        if kind != "discrete":  # NaN passes through
+            nan_column = fam.eval_all(inputs[-1])[:, 0, 1]
+            assert nan_column[0] == 1.0 and np.isnan(nan_column[1:]).all()
+            out = np.zeros((m,) + inputs[-1].shape)
+            fam._write_orders(inputs[-1], out)
+            assert (np.isnan(out) == np.isnan(inputs[-1])).all()  # at the NaN cell only
 
 
 def test_gauss_nodes():

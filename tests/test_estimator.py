@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hcr import (NO_EVIDENCE, UNCERTAINTY_UNDEFINED, BasisSpec, Dataset, Model,
-                 RefineConfig, adapt, build_full, discrete, estimator, fit,
-                 lambda_schedule, legendre, prune, refine, support, trig)
+                 RefineConfig, adapt, build_full, discrete, evaluate_points, fit,
+                 lambda_schedule, legendre, prune, refine, support, tensor_basis, trig)
 from hcr.likelihood import _Workspace
 
 SQ3 = math.sqrt(3.0)
@@ -367,8 +367,8 @@ def _random_fit_case(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_fit_equals_the_masked_mean(rows, seed):
     spec, x = _random_fit_case(seed)
-    block = estimator.FIT_BLOCK if rows is None else rows * len(spec)
-    with mock.patch.object(estimator, "FIT_BLOCK", block):
+    block = tensor_basis.FIT_BLOCK if rows is None else rows * len(spec)
+    with mock.patch.object(tensor_basis, "FIT_BLOCK", block):
         m = fit(spec, Dataset(x))
     want_flags, want_ev = [], {(): len(x)}
     for p, j in enumerate(spec.selected):
@@ -409,8 +409,8 @@ def test_fit_evidence_and_flags_are_exact_past_one_byte(seed, d, rows):
     x[rng.random((n, d)) < rng.choice([0.0, 0.1, 0.3])] = np.nan
     x[:, rng.integers(d)] = np.nan if rng.random() < 0.3 else x[:, 0]
     x = np.vstack([x, np.full((1, d), np.nan)])
-    block = estimator.FIT_BLOCK if rows is None else rows * len(spec)
-    with mock.patch.object(estimator, "FIT_BLOCK", block):
+    block = tensor_basis.FIT_BLOCK if rows is None else rows * len(spec)
+    with mock.patch.object(tensor_basis, "FIT_BLOCK", block):
         m = fit(spec, Dataset(x))
     want_ev, want_flags = {}, []
     for j in spec.selected:
@@ -475,7 +475,7 @@ def test_refine_workspace_holds_single_rows_and_one_block():
     # single_count = 24 single rows per record, where the product rows would
     # add 11, is more than a pass holds: a few floats per record, and one
     # row block's temporaries (its tables, single and product rows)
-    assert peak < (spec.single_count * data.n + estimator.FIT_BLOCK) * 8, peak
+    assert peak < (spec.single_count * data.n + tensor_basis.FIT_BLOCK) * 8, peak
 
 
 def _refine_peak(n):
@@ -510,7 +510,41 @@ def test_fit_holds_one_block_of_values_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block of values is FIT_BLOCK * 8 bytes; building it also holds the
-    # block's factor rows and one chunk of gathered prefix rows, but never a
-    # second block
-    assert peak < 2 * estimator.FIT_BLOCK * 8, peak
+    # one block of values would be FIT_BLOCK * 8 bytes; fit holds a block's
+    # factor rows and cover and one chunk of values, never a whole block
+    assert peak < tensor_basis.FIT_BLOCK * 8, peak
+
+
+def _peak(call, *args):
+    """The tracemalloc peak of call(*args), after an untraced call that
+    keeps first-call allocations out of it."""
+    call(*args)
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_singles_of_one_block_peak_below_twice_their_rows():
+    spec, data = _twenty_k_by_six()
+    block = data.values[:2496]  # one FIT_BLOCK row block, with missing cells
+    # the rows are written in place: beside them only the points' transposed
+    # copy, its NaN mask and one row of the recurrence
+    assert _peak(spec._singles, block, 0) < 2 * spec.single_count * len(block) * 8
+
+
+def test_covered_holds_its_result_and_at_most_one_byte_array():
+    spec, data = _twenty_k_by_six()
+    present = ~np.isnan(data.values[:2496])
+    assert _peak(spec.covered, present) < 2 * len(spec) * len(present)
+
+
+def test_evaluate_points_holds_less_than_one_block_of_values():
+    spec, data = _twenty_k_by_six()
+    model = fit(spec, data)
+    complete = data.values[data.complete_mask()]
+    # one refilled buffer of single rows and one of product rows, a level's
+    # GEMM temporaries and the densities
+    assert _peak(evaluate_points, model, complete) < tensor_basis.FIT_BLOCK * 8

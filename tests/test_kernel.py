@@ -24,9 +24,8 @@ from hcr import (BasisSpec, Completion, ConditionalSlice, Dataset, Family1D, Mod
                  gradient, evaluate_points, impute, legendre, log_likelihood, refine,
                  support, trig)
 from hcr.density import _clusters, _derivative_roots, _extremes, _impute_rows
-from hcr.estimator import _blocks
 from hcr.likelihood import _POSITIVE, _candidate_points, _halton, _Workspace
-from hcr.tensor_basis import MAX_FUNCTIONS
+from hcr.tensor_basis import MAX_FUNCTIONS, _blocks
 
 
 def ref_eval(fam, j, x):
@@ -149,8 +148,8 @@ def test_witness_matches_scalar_scan(seed, d, used, scale, budget):
     best_value = min(values)
     found = []
     for rows in (None, 5):  # 5 rows per block: the scan crosses blocks
-        block = hcr.estimator.FIT_BLOCK if rows is None else rows * len(model.spec)
-        with mock.patch.object(hcr.estimator, "FIT_BLOCK", block):
+        block = hcr.tensor_basis.FIT_BLOCK if rows is None else rows * len(model.spec)
+        with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", block):
             found.append(find_negative_witness(model, budget))
     if best_value >= 0.0:
         assert found == [None, None]
@@ -337,7 +336,7 @@ def test_values_equal_the_level_tail_products_bit_for_bit(seed, d, n, missing, f
         points[rng.integers(n)] = np.nan  # a fully-missing row
     if n and rng.random() < 0.5:
         points[:, rng.integers(d)] = np.nan  # a fully-missing column
-    with mock.patch.object(hcr.estimator, "FIT_BLOCK", block or hcr.estimator.FIT_BLOCK):
+    with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", block or hcr.tensor_basis.FIT_BLOCK):
         got = spec.values(points, fill)
     assert got.shape == (len(spec), n)
     assert np.array_equal(got, level_tail_values(spec, points, fill))
@@ -394,7 +393,7 @@ def test_evaluate_points_matches_reference_across_block_edges(rows, seed, d, n, 
         model, rng = random_model(seed, d)
     families = model.spec.families
     points = np.array([[random_value(rng, f) for f in families] for _ in range(n)]).reshape(n, d)
-    with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(model.spec)):
+    with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", rows * len(model.spec)):
         got = evaluate_points(model, points)
     want = ref_density(ref_terms(model, points), model.coef)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -444,7 +443,7 @@ def test_workspace_reductions_match_the_function_values(rows, seed, d, missing, 
         model, rng = random_model(seed, d)
     values = random_records(rng, model, int(rng.integers(1, 10)), missing)
     V = model.spec.values(values, 0)
-    with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(model.spec)):
+    with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", rows * len(model.spec)):
         ws = _Workspace(model, Dataset(values))
         # BLAS sums in its own order: each sum to 1e-12 of its terms' absolute sum
         rho, _ = ws.densities(model.coef, None, stop=False)
@@ -509,7 +508,7 @@ def test_streamed_pass_equals_the_stored_reading(rows, seed, d, missing, sparse)
     spec, rng = (random_sparse_spec if sparse else random_full_spec)(seed, d)
     model = Model(spec, rng.uniform(-0.3, 0.3, len(spec)), {}, {})
     values = random_records(rng, model, int(rng.integers(1, 13)), missing)
-    with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(spec)):
+    with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", rows * len(spec)):
         ws = _Workspace(model, Dataset(values))
         want, _ = stored_reading(spec, model.coef, values)
         assert np.array_equal(ws.densities(model.coef, None, stop=False)[0], want)
@@ -528,7 +527,7 @@ def test_a_pass_stops_at_the_first_block_below_the_floor():
     spec = build_full(1, legendre(1), 1)
     model = Model(spec, [1.0, 0.5], {}, {})  # density 1 + 0.5 sqrt(3) (2x - 1)
     values = np.array([[0.9], [0.0], [np.nan], [0.5]])  # densities 1.69, 0.13, 1, 1
-    with mock.patch.object(hcr.estimator, "FIT_BLOCK", len(spec)):  # one row per block
+    with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", len(spec)):  # one row per block
         ws = _Workspace(model, Dataset(values))
         with mock.patch.object(spec, "_singles", wraps=spec._singles) as singles:
             rho, grad = ws.densities(model.coef, 0.2)
@@ -538,6 +537,24 @@ def test_a_pass_stops_at_the_first_block_below_the_floor():
             assert grad is None and singles.call_count == 6
             assert rho[1] < 0.2 and rho[2:].tolist() == [1.0, 1.0]
             assert ws.densities(model.coef, 0.1)[1] is not None  # every density clears 0.1
+
+
+def test_the_last_step_checks_the_margin_without_gradient_sums():
+    spec = build_full(2, legendre(3), 3)
+    data = Dataset(np.random.default_rng(8).beta(2.0, 3.0, (40, 2)))
+    model = hcr.fit(spec, data)
+    config = RefineConfig(steps=2, step_size=1000.0, positivity_margin=0.05)  # backtracks
+    with mock.patch.object(spec, "contract", wraps=spec.contract) as contract:
+        _, trace = refine(model, data, config)
+    sums = [call.kwargs.get("grad") is not None for call in contract.call_args_list]
+    # the starting pass and step 0's candidates build gradient sums; step 1's,
+    # after the same number of shrinks, do not
+    assert sums == [True] * 5 + [False] * 4
+    assert [t.step_scale for t in trace] == [125.0, 125.0]
+    # as the last step, step 0 is accepted at the same scale, bit for bit
+    _, first = refine(model, data, RefineConfig(steps=1, step_size=1000.0,
+                                                positivity_margin=0.05))
+    assert first == trace[:1]
 
 
 def random_full_spec(seed, d):
@@ -559,7 +576,7 @@ def test_evaluate_points_and_refine_read_one_kernel(rows, seed, d, n, sparse):
     model = Model(spec, rng.uniform(-0.1, 0.1, len(spec)), {}, {})
     values = np.array([[random_value(rng, f) for f in spec.families] for _ in range(n)])
     data = Dataset(values.reshape(n, d))  # complete records
-    with mock.patch.object(hcr.estimator, "FIT_BLOCK", rows * len(spec)):
+    with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", rows * len(spec)):
         ws = _Workspace(model, data)
         rho, _ = ws.densities(model.coef, None)
         assert np.array_equal(evaluate_points(model, data.values), rho)
@@ -588,11 +605,11 @@ def test_unread_coordinates_are_checked_without_their_tables():
     model = Model(spec, np.zeros(len(spec)), {}, {})
     points = np.random.default_rng(3).random((5, 10))
     points[:, 9] = 0.25  # on the discrete grid
-    with mock.patch.object(Family1D, "eval_all", autospec=True,
-                           side_effect=Family1D.eval_all) as eval_all:
+    with mock.patch.object(Family1D, "_write_orders", autospec=True,
+                           side_effect=Family1D._write_orders) as write_orders:
         assert np.array_equal(evaluate_points(model, points), np.ones(5))
     # the tables of coordinates 0 and 1 only
-    assert [np.shape(call.args[1]) for call in eval_all.call_args_list] == [(2, 5)]
+    assert [np.shape(call.args[1]) for call in write_orders.call_args_list] == [(2, 5)]
     for i, bad in ((5, 1.5), (9, -0.1), (9, 0.3)):  # out of [0,1], and off the 5-point grid
         broken = points.copy()
         broken[2, i] = bad
@@ -1022,10 +1039,10 @@ def test_numerators_match_the_per_coordinate_reference(seed, d, policy, cells_pe
         seen.append(len(got))
         return got
 
-    bound = (hcr.estimator.FIT_BLOCK if cells_per_run is None
+    bound = (hcr.tensor_basis.FIT_BLOCK if cells_per_run is None
              else 4 * len(model.spec) * cells_per_run)
     with mock.patch.object(hcr.density, "_numerators", checked), \
-            mock.patch.object(hcr.estimator, "FIT_BLOCK", bound):
+            mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", bound):
         _impute_rows(model, block, policy)
         for row in block[1:]:
             for i in np.flatnonzero(np.isnan(row))[:1]:
@@ -1097,8 +1114,8 @@ def test_cli_impute_output_does_not_depend_on_the_chunk_size(tmp_path, monkeypat
         ",".join("" if np.isnan(c) else repr(float(c)) for c in row) + "\n" for row in block))
     save_model(model, model_path)
     outputs = []
-    for chunk in (hcr.estimator.FIT_BLOCK, len(model.spec) * 3, 1):  # 1: one row per block
-        monkeypatch.setattr(hcr.estimator, "FIT_BLOCK", chunk)
+    for chunk in (hcr.tensor_basis.FIT_BLOCK, len(model.spec) * 3, 1):  # 1: one row per block
+        monkeypatch.setattr(hcr.tensor_basis, "FIT_BLOCK", chunk)
         out = tmp_path / f"filled-{chunk}.csv"
         assert cli.main(["impute", "--model", str(model_path), "--input", str(table),
                          "--out", str(out), "--report", "--policy", policy]) == 0
