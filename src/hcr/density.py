@@ -41,13 +41,11 @@ MASS_FLOOR = 0.01  # cluster-split slivers below this merge into a neighbor
 
 
 def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
-    """Densities at an (n, d) block of points: BasisSpec.contract over
-    BasisSpec.single_blocks, the zero-filled single rows of each row block
-    of FIT_BLOCK function values refilled in one buffer, the contraction
-    and the blocks refine reads; it equals coef @ values to
-    1e-12 of the terms' absolute sum.  A NaN cell raises
-    MissingCoordinateError unless no selected function reads its
-    coordinate (as for the coordinates a marginal model dropped)."""
+    """Densities at an (n, d) block of points, BasisSpec.contract over
+    BasisSpec.single_blocks as refine reads them: coef @ values to 1e-12
+    of the terms' absolute sum.  A NaN cell raises MissingCoordinateError
+    unless no selected function reads its coordinate (as for the
+    coordinates a marginal model dropped)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != model.d:
         raise ValueError(f"expected points of width {model.d}, got shape {points.shape}")
@@ -58,7 +56,7 @@ def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
             f"point {row} is missing coordinates {np.flatnonzero(missing[row]).tolist()}; "
             "use conditional_slice")
     out = np.empty(len(points))
-    model.spec.contract(model.coef, model.spec.single_blocks(points), out)
+    model.spec.contract(model.coef, model.spec.single_blocks(points), out, layout=model.layout)
     return out
 
 
@@ -206,11 +204,13 @@ def _trig_derivative_roots(coef: np.ndarray) -> np.ndarray:
 
 
 def _extremes(family: Family1D, coef: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Minimum, mode and tie flag of every slice, and the candidates
-    searched with their validity mask and values: the grid of a discrete
-    coordinate, else 0, the distinct stationary points and 1, so that a
-    continuous slice is monotone between consecutive valid candidates.
-    The mode is the smallest candidate within 1e-12 of the maximum."""
+    """Minimum, mode and tie flag of every slice, the candidates searched
+    with their validity mask and values, and the tie: 1e-12 times the
+    slice's largest |candidate value|, the one rule for the mode and the
+    cluster cuts.  The candidates are the grid of a discrete coordinate,
+    else 0, the distinct stationary points and 1, so that a continuous
+    slice is monotone between consecutive valid candidates.  The mode is
+    the smallest candidate within the tie of the maximum."""
     if family.is_discrete:
         xs = np.broadcast_to(family.grid, (len(coef), family.v))
         distinct = np.ones(xs.shape, dtype=bool)
@@ -221,10 +221,11 @@ def _extremes(family: Family1D, coef: np.ndarray) -> tuple[np.ndarray, ...]:
         distinct = np.concatenate([end > 0, inner, end > 0], axis=1)
     values = _rowdot(coef, family._stack(xs).transpose(1, 0, 2))
     top = values.max(axis=1, where=distinct, initial=-np.inf)
-    winners = distinct & (values >= top[:, None] - 1e-12)  # >=: above 1e4, top - 1e-12 == top
+    tie = 1e-12 * np.abs(values).max(axis=1, where=distinct, initial=0.0)
+    winners = distinct & (values >= (top - tie)[:, None])
     return (values.min(axis=1, where=distinct, initial=np.inf),
             xs[np.arange(len(xs)), winners.argmax(axis=1)], winners.sum(axis=1) > 1,
-            xs, distinct, values)
+            xs, distinct, values, tie)
 
 
 def _clusters(family: Family1D, coef: np.ndarray, extremes: tuple) -> list[list[Cluster]]:
@@ -232,18 +233,18 @@ def _clusters(family: Family1D, coef: np.ndarray, extremes: tuple) -> list[list[
 
     A discrete slice seeds one cluster per grid value.  A continuous one
     is cut at the ends and at each stationary point whose value is below
-    the lower neighbouring candidate's by more than 1e-12 times the row's
-    largest |candidate value|, so a slice flat up to rounding is one
-    interval; every (row, interval) mass and mean comes from one 48-node
-    Gauss rule.  Slivers then merge by _merge_slivers, row by row.
+    the lower neighbouring candidate's by more than the tie, so a slice
+    flat up to rounding is one interval; every (row, interval) mass and
+    mean comes from one 48-node Gauss rule.  Slivers then merge by
+    _merge_slivers, row by row.
     """
-    *_, xs, distinct, values = extremes
+    *_, xs, distinct, values, tie = extremes
     row, c, v = distinct.nonzero()[0], xs[distinct], values[distinct]  # row by row, ascending
     if family.is_discrete:
         lo = hi = mean = c
         mass = v / family.v
     else:  # a row's candidates are 0, its stationary points, 1
-        tie = 1e-12 * np.abs(values).max(axis=1, where=distinct, initial=0.0)[row]
+        tie = tie[row]
         cut = np.ones(len(c), dtype=bool)  # the ends, and the points below both neighbours
         cut[1:-1] = (row[:-2] != row[2:]) | (v[1:-1] < np.minimum(v[:-2], v[2:]) - tie[1:-1])
         row, c = row[cut], c[cut]
@@ -285,10 +286,10 @@ def _negative(family: Family1D, coef: np.ndarray) -> np.ndarray:
 class ConditionalSlice:
     """One-coordinate section of the density with known coordinates fixed.
 
-    numerator[o] collects every compatible coefficient of order o in the
-    free coordinate, already multiplied by its fixed-coordinate factors;
-    denominator is numerator[0], the restriction to the known set, so the
-    normalized slice integrates to 1 by construction.  Its queries are the
+    numerator[o] sums the order-o functions of the free coordinate that
+    touch no other unknown one, times their known factors; denominator is
+    numerator[0], the restriction to the known set, so the normalized
+    slice integrates to 1 by construction.  Its queries are the
     stacked ones above on a block of one row and share one _extremes
     search per slice, so treat a slice as read-only.
     """
@@ -376,56 +377,46 @@ def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
     """Normalized density of coordinate i given the known coordinates.
 
     known is a length-d point with NaN at unknown slots, or a mapping
-    from coordinate index to value.  Functions outside the known-plus-i
-    envelope integrate away; what remains is grouped by the order of
-    coordinate i, and the order-0 group is the normalizing restriction
-    to the known set.
+    from coordinate index to a known value (not NaN).  The numerators are
+    _slice_numerators of this one state; the order-0 one, the restriction
+    to the known set, is the denominator.
     """
-    if not 0 <= i < model.d:
-        raise ValueError(f"free coordinate {i} out of range")
+    for k in [i, *known] if isinstance(known, dict) else [i]:  # no bool, float or str
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < model.d:
+            raise ValueError(f"coordinate {k!r} is not an index in 0..{model.d - 1}")
+    point = np.full((1, model.d), np.nan)
     if isinstance(known, dict):
-        values = {int(k): float(v) for k, v in known.items()}
+        for k, v in known.items():
+            point[0, k] = v
+            if np.isnan(point[0, k]):
+                raise ValueError(f"known coordinate {k} has value {v!r}; leave it out instead")
     else:
-        arr = np.asarray(known, dtype=float)
-        if arr.shape != (model.d,):
+        known = np.asarray(known, dtype=float)
+        if known.shape != (model.d,):
             raise ValueError(f"known must be a length-{model.d} point or a mapping")
-        values = {k: float(arr[k]) for k in range(arr.size) if not np.isnan(arr[k])}
-    if i in values:
+        point[0] = known
+    if not np.isnan(point[0, i]):
         raise ValueError(f"coordinate {i} is already known")
-    for k in values:
-        if not 0 <= k < model.d:
-            raise ValueError(f"known coordinate {k} out of range")
-    point, cell = np.full((1, model.d), np.nan), np.zeros((1, model.d), dtype=bool)
-    point[0, list(values)], cell[0, i] = list(values.values()), True
     family = model.spec.families[i]
-    numerator = _numerators(model, model.spec.values(point, 1), [0], np.isnan(point), cell)[0]
+    numerator = _slice_numerators(model, point, model.spec._singles(point, 0))[
+        int(np.isnan(point[0, :i]).sum())]  # the cells come in coordinate order
     if numerator[0] <= 0:
         raise _mass_error(i, numerator[0])
     return ConditionalSlice(i, family, numerator[:family.max_order + 1], numerator[0])
 
 
-def _numerators(model: Model, products: np.ndarray, column, missing: np.ndarray,
-                cells: np.ndarray) -> np.ndarray:
-    """Slice numerators of the cells (point p, coordinate i) marked in
-    cells, in np.nonzero order, (cells, spec.width).  products[:, column[p]]
-    holds every function's product over point p's known coordinates, and
-    missing (n, d) marks the rest.  A numerator sums, in spec order, the
-    functions that touch no unknown coordinate but i: one bincount per run
-    of cells, _blocks' runs at four entries per (function, cell) pair."""
+def _slice_numerators(model: Model, points: np.ndarray, singles: np.ndarray) -> np.ndarray:
+    """Slice numerators of every NaN cell (state, coordinate i) of an (n, d)
+    block of states, (cells, spec.width) in np.nonzero order, from their
+    zero-filled single rows by contract, in _blocks runs: the density with
+    every unknown at 0 (order 0) and its slopes along i's rows (order o:
+    the order-o functions of i touching no other unknown)."""
     spec = model.spec
-    point, coord = cells.nonzero()
-    source = np.asarray(column)[point]  # each cell's products column
-    hits = spec.touch @ missing.T.astype(np.int16)  # unknown coordinates each function touches
-    out = np.empty((len(point), spec.width))
-    for run in _blocks(spec, len(point), 4):
-        # a function counts when i is the only unknown coordinate it touches, if any;
-        # bincount adds in input order: functions outer, cells inner
-        counts = hits[:, point[run]] == spec.touch[:, coord[run]]
-        weights = (products[:, source[run]] * model.coef[:, None])[counts]
-        first = np.arange(run.stop - run.start) * spec.width  # each cell's first bin
-        out[run] = np.bincount((spec.orders[:, coord[run]] + first)[counts], weights,
-                               len(first) * spec.width).reshape(-1, spec.width)
-    return out
+    table = np.zeros((spec.single_count + 2, len(points)))  # density, slopes, a zero row
+    spec.contract(model.coef, ((rows, singles[:, rows]) for rows in _blocks(spec, len(points))),
+                  table[0], slopes=table[1:-1], layout=model.layout)
+    point, coord = np.isnan(points).nonzero()
+    return table.take(spec._slope_rows[coord] * len(points) + point[:, None])  # flat: holds less
 
 
 def _mass_error(i: int, denominator: float) -> NonpositiveMassError:
@@ -469,21 +460,16 @@ def impute(model: Model, record, policy: str = EXPECTED) -> list[Completion]:
 
 def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
     """impute for every row of an (n, d) block: per row its completions (a
-    complete row as it is), or the NonpositiveMassError it raises.
-
-    Each row is a state, as is each cluster-split branch, and a step fills
-    one cell of every open state.  A state carries every function's
-    product over its known coordinates, multiplied in the order they
-    became known (as given, then as filled), so a step's slices are one
-    bincount per run of missing cells over all states.
-    """
+    complete row as it is), or the NonpositiveMassError it raises.  A row,
+    or a cluster-split branch, is a state that keeps only its zero-filled
+    single rows; a step reads every open state's slices from one
+    _slice_numerators pass, then fills one cell of each (BasisSpec._refill)."""
     if policy not in (EXPECTED, TOP_MODE, CLUSTER_SPLIT):
         raise ValueError(f"unknown policy {policy!r}")
     spec, families, names = model.spec, model.spec.families, model.coordinate_names()
     values = np.array(block, dtype=float)
     opened = np.isnan(values).any(axis=1)
-    products = spec.values(np.where(opened[:, None], values, np.nan), 1)
-    column = np.arange(len(values))  # a state's products are products[:, column]
+    singles = spec._singles(np.where(opened[:, None], values, np.nan), 0).T  # state, row
     origin, weight = np.arange(len(values)), np.ones(len(values))
     variance, filled = np.full(values.shape, np.nan), np.full(values.shape, -1)
     notes, errors = [()] * len(values), {}
@@ -491,7 +477,7 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
     for step in range(model.d):  # filled[r, step]: the coordinate that step filled
         missing = np.isnan(values[rows])
         point, coord = missing.nonzero()
-        num = _numerators(model, products, column[rows], missing, missing)
+        num = _slice_numerators(model, values[rows], singles[rows].T)
         mass = num[:, 0]  # the same for every slice of a state
         coef = num / np.where(mass > 0, mass, np.inf)[:, None]  # a failing state's goes unread
         mean, var = _moments(coef, spec.moments[coord])
@@ -534,25 +520,20 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
         if (count != 1).any():  # drop failed rows' states, expand branches in order
             start = np.cumsum(count) - count
             state = np.repeat(np.arange(len(values)), count)
-            values, origin, weight, variance, filled, column = (
-                a[state] for a in (values, origin, weight, variance, filled, column))
+            values, origin, weight, variance, filled, singles = (
+                a[state] for a in (values, origin, weight, variance, filled, singles))
             notes = [notes[r] for r in state]
             fills = [(i, start[s] + np.arange(len(s)) - np.searchsorted(s, s), v, w)
                      for i, s, v, w in fills]
         for i, states, value, share in fills:
             values[states, i] = families[i].snap(value)
+            spec._refill(singles.T, i, states, values[states, i])
             filled[states, step] = i
             if share is not None:
                 weight[states] *= share
         rows = np.isnan(values).any(axis=1).nonzero()[0]
         if not len(rows):
             break
-        # the products of the states still open, times the cell each just filled
-        products, column[rows] = products[:, column[rows]], np.arange(len(rows))
-        last = filled[rows, step]
-        for i in set(last.tolist()):
-            at = (last == i).nonzero()[0]  # order 0 reads 1: a no-op factor
-            products[:, at] *= families[i]._stack(values[rows[at], i])[spec.orders[:, i]]
     weight = (weight / np.bincount(origin, weight, len(block))[origin]).tolist()
     out: list = [[] for _ in range(len(block))]
     for r, (k, order) in enumerate(zip(origin.tolist(), filled.tolist())):

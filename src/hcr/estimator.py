@@ -86,6 +86,10 @@ class Model:
         return self.spec.d
 
     @cached_property
+    def layout(self):  # spec._layout(coef), built once for contract
+        return self.spec._layout(self.coef)
+
+    @cached_property
     def coefficients(self) -> Mapping[MultiIndex, float]:
         return MappingProxyType(dict(zip(self.spec.selected, self.coef.tolist())))
 
@@ -129,15 +133,11 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     its standard error (ddof=1).  Zero evidence yields coefficient 0
     with a flag rather than an error, keeping large sparse fits total.
 
-    Records are read in row blocks of at most FIT_BLOCK function values.
-    A block's factor rows and cover are built once; then, one _chunks
-    chunk of functions at a time, their values are formed (by the product
-    routine of BasisSpec.values), summed, turned into deviations from the
-    block's means and squared, so no functions x rows block of values
-    exists.  Each block's sums, and its squared deviations from its own
-    means, are merged into the running ones (Chan et al.), so the memory
-    does not grow with the record count and no digits cancel in the
-    uncertainty.
+    Records are read in row blocks of at most FIT_BLOCK function values,
+    and each block's functions one _chunks chunk at a time (values'
+    products), so no functions x rows block exists.  Each block's sums and
+    squared deviations from its own means merge into the running ones
+    (Chan et al.): no digits cancel in the uncertainty.
     """
     if data.d != spec.d:
         raise ValueError(f"data has {data.d} coordinates, spec expects {spec.d}")

@@ -65,18 +65,14 @@ class BasisSpec:
     width is the highest family order plus one, and moments stacks each
     coordinate's _moment_table, zero-padded to (d, 3, width).
 
-    The factor plan: factors() gives factor_count rows per point.  Row 0
-    is the constant 1; rows 1..single_count are the single rows: per
-    family, orders 1..top (its highest order some selected function
-    reads) of each of its coordinates that some function reads, ordered
-    by family, then order, then coordinate; then one product row
-    per prefix of two or more factors, shorter prefixes first, where a
-    prefix is a selected function's support less its last coordinate, at
-    the orders the function has there.  Function p is the product of rows
-    prefix[p] and last[p] (prefix[p] is 0 for the constant and one-factor
-    functions, a single row for two factors).  contract reads blocks of
-    single rows with this plan.  Treated as immutable
-    after construction.
+    The factor plan: factors() gives factor_count rows per point, the
+    constant 1, then the single_count single rows (per family, orders
+    1..top, its highest order read, of each coordinate some function
+    reads, by family, order, coordinate), then one product row per prefix
+    of two or more factors (a function's support less its last
+    coordinate, at its orders), shorter first.  Function p is row
+    prefix[p] (0 for the constant and one-factor functions) times row
+    last[p].  Treated as immutable after construction.
     """
 
     d: int
@@ -127,6 +123,9 @@ class BasisSpec:
                                   top))
             count += top * len(read)
         self.single_count = count
+        # each (coordinate, order)'s row in a table of the density, the slopes and 0
+        self._slope_rows = np.where((at_single > 0) | (np.arange(self.width) == 0), at_single,
+                                    count + 1)
         single = at_single[coords, orders]  # each factor's row (on the support)
         # every prefix of two or more factors, keyed by its factors' rows
         keys = {tuple(row[:length]) for row, lvl in zip(single.tolist(), level.tolist())
@@ -151,7 +150,7 @@ class BasisSpec:
                   for row, lvl in zip(single.tolist(), level.tolist())]
         self.prefix, self.last = np.array(prefix, dtype=np.intp), last
         self._pairs = int(np.searchsorted(level, 2))  # the first function of two factors
-        for a in (self.prefix, self.last):
+        for a in (self.prefix, self.last, self._slope_rows):
             a.setflags(write=False)
         # the contraction's groups: the one-factor functions, then one per
         # level above, whose prefixes are single rows at level 2, product rows above
@@ -236,8 +235,8 @@ class BasisSpec:
             x = points[read]
             table = out[rows].reshape((top,) + x.shape)  # order, coordinate, point: a view
             family._write_orders(x, table)
-            if gaps:
-                table[:, missing[read]] = fill
+            if gaps:  # copyto: a boolean setitem's index arrays can outgrow a small table
+                np.copyto(table, fill, where=missing[read])
         return out
 
     def _layout(self, coef: np.ndarray):
@@ -253,26 +252,26 @@ class BasisSpec:
         return head, mats
 
     def contract(self, coef: np.ndarray, blocks, out: np.ndarray, floor=None,
-                 usable=None, stop: bool = False, grad=None) -> bool:
-        """coef @ values(points, 0) written to out[rows] for each (rows,
-        _singles(points, 0)) of blocks.  Returns whether every density at a
-        usable row (a boolean mask over out) is >= floor, True without a
-        floor; with stop, the blocks after the first one below it are not
-        read.  Given grad (zeros, one entry per selected function), the
-        same pass adds values(points, 0) @ (1 / out[rows]) into it block by
-        block while every usable density so far is >= floor, so no 1/rho is
-        taken of a density below it; the constant's entry stays 0.
+                 usable=None, stop: bool = False, grad=None, slopes=None,
+                 layout=None) -> bool:
+        """coef @ values(points, 0) into out[rows] for each (rows,
+        _singles(points, 0)) of blocks (layout, if given, is _layout(coef)).
+        Returns whether every usable density (a mask over out) is >= floor,
+        True without one; with stop, no block after the first below it is
+        read.  Given grad (zeros per function), adds values(points, 0) @
+        (1 / out[rows]) into it while every usable density so far is >=
+        floor, 0 for the constant.  Given slopes (zeros, single_count rows,
+        columns as out), adds each column's slope along every single row:
+        coef times the other factors of the functions reading it, 0 if none.
 
-        Per block the density is the constant, one GEMV over the
-        one-factor functions' single rows, and per level above one GEMM of
-        its coefficient matrix over its prefix rows, times its last rows
-        and summed over them.  The sums are its transpose: 1/rho scales
-        the block's last rows once, and each level's GEMM reads its prefix
-        rows against them.  A block's product rows are rebuilt in one
-        buffer sized for the first block (of _blocks, the largest).  BLAS
-        orders these sums otherwise than coef @ values.
+        Per block: the constant, a GEMV over the one-factor functions' rows,
+        and per level above a GEMM of its coefficients over its prefix rows,
+        times its last rows, summed.  grad reads that transposed; slopes
+        read it and the product rows backwards, one column at a time
+        (_columns), so that no column depends on its neighbours.
         """
-        (head, mats), span = self._layout(coef), self._head[1]
+        (head, mats), span = layout or self._layout(coef), self._head[1]
+        mul = np.matmul if slopes is None else _columns
         summing, held = grad is not None, True
         if summing:
             head_sums = np.zeros_like(head)
@@ -282,12 +281,22 @@ class BasisSpec:
             buffer = np.empty(m * S.shape[1]) if buffer is None else buffer
             P = buffer[:m * S.shape[1]].reshape(m, S.shape[1])
             self._products(S, P)
-            r = head @ S[span]
+            r = mul(head, S[span])
             r += coef[0]  # the constant
+            if slopes is not None:
+                D, dP = slopes[:, rows], np.zeros_like(P)
+                D[span] += head[:, None]
             for C, (_, products, arows, brows, _, _) in zip(mats, self._groups):
-                T = C @ (P if products else S)[arows]
+                T = mul(C, (P if products else S)[arows])
+                if slopes is not None:
+                    D[brows] += T
+                    (dP if products else D)[arows] += _columns(C.T, S[brows])
                 T *= S[brows]
                 r += T.sum(axis=0)
+            if slopes is not None:  # back through the product rows, longest prefixes first
+                for k, (prows, left, right) in reversed(list(enumerate(self._prefixes))):
+                    np.add.at(D, right, dP[prows] * (P if k else S)[left])
+                    np.add.at(dP if k else D, left, dP[prows] * S[right])
             out[rows] = r
             if floor is None or not held:
                 continue
@@ -309,6 +318,15 @@ class BasisSpec:
             for G, (fun, _, _, _, ai, bi) in zip(sums, self._groups):
                 grad[fun] = G[ai, bi]
         return held
+
+    def _refill(self, S: np.ndarray, i: int, at, x: np.ndarray) -> None:
+        """Write coordinate i's single rows at x (in [0,1], unchecked) into
+        the columns at of single rows S, with one _write_orders call."""
+        rows = self._slope_rows[i, 1:]
+        rows = rows[rows <= self.single_count] - 1
+        table = np.empty((len(rows), len(at)))
+        self.families[i]._write_orders(x, table)
+        S[rows[:, None], at] = table
 
     def single_blocks(self, points):
         """(rows, _singles(points[rows], 0)) for each row block of _blocks
@@ -340,15 +358,10 @@ class BasisSpec:
 
     def values(self, points, fill: float) -> np.ndarray:
         """Every selected function at each row of an (n, d) block of
-        points, (functions, n): the product of its prefix and last rows
-        of factors(points, fill), formed by _functions one _chunks chunk at
-        a time, so no gather larger than a chunk is made.
-
-        With fill 0 a function whose support misses a cell is exactly 0;
-        with fill 1 the unknown factors drop out.  The support factors
-        multiply in ascending coordinate order, so every caller gets the
-        same products.
-        """
+        points, (functions, n): its prefix row times its last row of
+        factors(points, fill), one _chunks chunk at a time.  With fill 0 a
+        function whose support misses a cell is exactly 0; with fill 1 the
+        unknown factors drop out."""
         F = self.factors(points, fill)
         out = np.empty((len(self), F.shape[1]))
         for funs in self._chunks(F.shape[1]):
@@ -384,6 +397,12 @@ def _view(cols: np.ndarray):
     if not cols.size:
         return None
     return slice(int(cols[0]), int(cols[-1]) + 1) if cols[-1] - cols[0] == len(cols) - 1 else cols
+
+
+def _columns(C: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """C @ X as one vector-matrix product per contiguous copy of a column of
+    X, so a column sums alike wherever it stands (a GEMM's edges may not)."""
+    return np.matmul(np.ascontiguousarray(X.T)[:, None, :], C.T)[:, 0].T
 
 
 def _span(rows: np.ndarray):

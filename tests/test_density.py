@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from hcr import (CLUSTER_SPLIT, TOP_MODE, Dataset,
+from hcr import (CLUSTER_SPLIT, TOP_MODE, ConditionalSlice, Dataset,
                  MissingCoordinateError, NonpositiveMassError, build_full,
                  build_sparse, clamp, conditional_slice, discrete, evaluate,
                  evaluate_points, fit, impute, legendre, marginalize, support,
@@ -123,6 +124,18 @@ def test_slice_validation():
         conditional_slice(m, {1: 1.5}, 0)
 
 
+@pytest.mark.parametrize("known, i, named", [
+    ({0.5: 0.5}, 1, "coordinate 0.5 "), ({"0": 0.5}, 1, "coordinate '0' "),
+    ({0: 0.5}, 1.0, "coordinate 1.0 "), ({0: 0.5}, True, "coordinate True "),
+    ({0: nan}, 1, "known coordinate 0 has value nan")])
+def test_slice_names_a_key_that_is_no_index_and_a_nan_known_value(known, i, named):
+    m = make_model(build_full(2, legendre(1), 1), {(1, 0): 0.2})
+    with pytest.raises(ValueError) as err:
+        conditional_slice(m, known, i)
+    assert str(err.value).startswith(named)
+    assert conditional_slice(m, {np.int64(0): 0.5}, np.int64(1)).free_coordinate == 1
+
+
 def test_slice_nonpositive_mass_error_carries_value():
     m = make_model(build_full(2, legendre(2), 2), {(0, 2): 0.9})
     # at x2 = 0.5 the evidence restriction is 1 - 0.9*sq5/2 < 0
@@ -212,6 +225,17 @@ def test_top_mode_tie_prefers_smaller_coordinate():
     value, tied = conditional_slice(m, {}, 0).top_mode()
     assert value == 0.0
     assert tied is True
+
+
+def test_top_mode_tie_is_relative_to_the_slice_scale():
+    # grid values 3e5 and 3e5 + 3e-8 differ by 1e-13 of the largest: a tie,
+    # which an absolute 1e-12 rule missed above 1e4
+    fam = discrete(3)
+    table = fam.eval_all(fam.grid)
+    sl = ConditionalSlice(0, fam, table @ np.array([1e5, 1e5 + 1e-8, 1.0]), 1.0)
+    assert sl.top_mode() == (0.0, True)
+    sl = ConditionalSlice(0, fam, table @ np.array([1e5, 1e5 + 1e-6, 1.0]), 1.0)
+    assert sl.top_mode() == (0.5, False)
 
 
 def test_top_mode_discrete():
@@ -407,3 +431,45 @@ def test_conditional_slice_rejects_a_known_point_of_the_wrong_length():
         with pytest.raises(ValueError, match="length-3"):
             conditional_slice(m, known, 0)
     assert conditional_slice(m, [nan, 0.2, nan], 0).free_coordinate == 0
+
+
+def _ten_d_mixed():
+    """A model shaped like the benchmark's impute_mixed one: six
+    legendre(3), two trig(3) and two discrete(5, 3) columns with orders
+    {1: 3, 2: 2} (211 functions), fitted on 2000 beta(2, 3) records."""
+    rng = np.random.default_rng(5)
+    x = rng.beta(2.0, 3.0, (2000, 10))
+    x[:, 1] = np.clip(x[:, 0] + rng.normal(0.0, 0.1, 2000), 0.0, 1.0)
+    x[:, 8:] = np.rint(x[:, 8:] * 4) / 4
+    families = [legendre(3)] * 6 + [trig(3)] * 2 + [discrete(5, 3)] * 2
+    spec = build_full(10, families, {1: 3, 2: 2, **dict.fromkeys(range(3, 11), 0)})
+    return fit(spec, Dataset(x)), x
+
+
+def _peak(call, *args):
+    """The tracemalloc peak of call(*args), after an untraced call that
+    keeps first-call allocations (the model's layout, cached tables) out."""
+    call(*args)
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_row_impute_holds_no_functions_by_cells_table():
+    model, x = _ten_d_mixed()
+    record = x[3].copy()
+    record[[1, 4, 6, 9]] = np.nan
+    # 32.9 KB when a row carried its functions' products and a step
+    # bincounted functions x cells tables; 11.0 KB on its single rows
+    assert _peak(impute, model, record) < 32908 / 2
+
+
+def test_conditional_slice_holds_no_functions_by_cells_table():
+    model, x = _ten_d_mixed()
+    known = x[7].copy()
+    known[[2, 5]] = np.nan
+    # 11.6 KB with the point's products and the bincount; 4.9 KB through contract
+    assert _peak(conditional_slice, model, known, 2) < 11565 / 2

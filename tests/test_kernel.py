@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -748,6 +749,32 @@ def random_slice(seed, d):
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
+def test_every_slice_integrates_to_one_and_its_moments_match_quadrature(seed, d):
+    """Every free coordinate of a random known set: mass 1 within 1e-10,
+    and expected_value's mean (clipped into [0, 1] on a negative slice)
+    and variance as the 200-node Gauss rule, or the full grid for a
+    discrete coordinate, gives them for the normalized slice."""
+    model, rng = random_model(seed, d)
+    known = {k: random_value(rng, f) for k, f in enumerate(model.spec.families)
+             if rng.random() < 0.5}
+    for i in sorted(set(range(d)) - set(known)):
+        try:
+            sl = conditional_slice(model, known, i)
+        except NonpositiveMassError:
+            continue
+        if sl.family.is_discrete:
+            f = ref_values(sl.family, sl.coef, sl.family.grid) / sl.family.v
+            mass, first, second = (float(np.sum(f * sl.family.grid**p)) for p in range(3))
+        else:
+            mass, first, second = ref_quadrature(sl.family, sl.coef)
+        assert mass == pytest.approx(1.0, rel=0, abs=1e-10)
+        mom = sl.expected_value()
+        mean = min(1.0, max(0.0, first)) if mom.negative_region else first
+        assert mom.mean == pytest.approx(mean, rel=1e-10, abs=1e-10)
+        assert mom.variance == pytest.approx(max(second - first**2, 0.0), rel=1e-10, abs=1e-10)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
 def test_slice_queries_match_brute_force(seed, d):
     sl = random_slice(seed, d)
     if sl is None:
@@ -761,7 +788,7 @@ def test_slice_queries_match_brute_force(seed, d):
         mean = float(np.sum(grid * f)) / fam.v
         var = float(np.sum(grid**2 * f)) / fam.v - mean**2
         assert mom.negative_region == bool(f.min() < 0)
-        winners = grid[f >= f.max() - 1e-12]
+        winners = grid[f >= f.max() - 1e-12 * np.abs(f).max()]  # the relative tie
         assert (mode, tied) == (winners[0], winners.size > 1)
     else:
         _, first, second = ref_quadrature(fam, coef)
@@ -773,7 +800,7 @@ def test_slice_queries_match_brute_force(seed, d):
         if f.min() > slack:
             assert not mom.negative_region
         top = float(ref_values(fam, coef, [mode])[0])
-        assert f.max() - 1e-12 <= top <= f.max() + slack
+        assert f.max() - 1e-12 * np.abs(f).max() <= top <= f.max() + slack
         near_top = np.flatnonzero(f >= f.max() - slack - 1e-12)
         if np.all(np.diff(near_top) == 1) and near_top.size < DENSE.size:
             assert not tied  # one peak, and not a constant slice
@@ -1021,27 +1048,40 @@ def ref_numerators(model, products, column, missing, cells):
 
 
 # seed 0, d 5: 8 rows, 21 missing cells, 7 rows that branch and 1 that fails
-@example(seed=0, d=5, policy="cluster-split", cells_per_run=1)
-@example(seed=0, d=5, policy="cluster-split", cells_per_run=3)
+@example(seed=0, d=5, policy="cluster-split", states_per_run=1)
+@example(seed=0, d=5, policy="cluster-split", states_per_run=3)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), policy=st.sampled_from(POLICIES),
-       cells_per_run=st.sampled_from([None, 1, 3]))
-def test_numerators_match_the_per_coordinate_reference(seed, d, policy, cells_per_run):
-    """Bit for bit, on every step of a block impute (fully missing first
-    row, cluster-split branches) and on conditional_slice, whose one cell
-    is not all that is missing, with runs cut to 1 or 3 cells."""
+       states_per_run=st.sampled_from([None, 1, 3]))
+def test_numerators_match_the_per_coordinate_reference(seed, d, policy, states_per_run):
+    """On every step of a block impute (fully missing first row,
+    cluster-split branches) and on conditional_slice, whose one cell is
+    not all that is missing, with runs cut to 1 or 3 states: each
+    numerator within 1e-12 of its terms' absolute sum, exactly 0 at an
+    order that no function with a nonzero coefficient gives, and the
+    single rows a state keeps equal to its own, bit for bit."""
     model, rng = random_model(seed, d)
     block = random_block(model, rng)
-    numerators, seen = hcr.density._numerators, []
+    numerators, seen = hcr.density._slice_numerators, []
 
-    def checked(*args):
-        got, want = numerators(*args), ref_numerators(*args)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    def checked(model, points, singles):
+        assert np.array_equal(singles, model.spec._singles(points, 0))
+        got = numerators(model, points, singles)
+        products, missing = model.spec.values(points, 1), np.isnan(points)
+        cells = (np.arange(len(points)), missing, missing)
+        want = ref_numerators(model, products, *cells)
+        scale = ref_numerators(SimpleNamespace(spec=model.spec, coef=np.abs(model.coef)),
+                               np.abs(products), *cells)
+        given = ref_numerators(SimpleNamespace(spec=model.spec, coef=1.0 * (model.coef != 0)),
+                               np.ones_like(products), *cells)  # contributing functions
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        assert np.all(got[given == 0] == 0)
         seen.append(len(got))
         return got
 
-    bound = (hcr.tensor_basis.FIT_BLOCK if cells_per_run is None
-             else 4 * len(model.spec) * cells_per_run)
-    with mock.patch.object(hcr.density, "_numerators", checked), \
+    bound = (hcr.tensor_basis.FIT_BLOCK if states_per_run is None
+             else len(model.spec) * states_per_run)
+    with mock.patch.object(hcr.density, "_slice_numerators", checked), \
             mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", bound):
         _impute_rows(model, block, policy)
         for row in block[1:]:
