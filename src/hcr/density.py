@@ -42,10 +42,10 @@ MASS_FLOOR = 0.01  # cluster-split slivers below this merge into a neighbor
 
 def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
     """Densities at an (n, d) block of points, BasisSpec.contract over
-    BasisSpec.single_blocks as refine reads them: coef @ values to 1e-12
-    of the terms' absolute sum.  A NaN cell raises MissingCoordinateError
-    unless no selected function reads its coordinate (as for the
-    coordinates a marginal model dropped)."""
+    BasisSpec.single_blocks as refine reads them: the sum of coef times
+    each function to 1e-12 of the terms' absolute sum.  A NaN cell
+    raises MissingCoordinateError unless no selected function reads its
+    coordinate (as for the coordinates a marginal model dropped)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != model.d:
         raise ValueError(f"expected points of width {model.d}, got shape {points.shape}")
@@ -387,7 +387,10 @@ def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
     point = np.full((1, model.d), np.nan)
     if isinstance(known, dict):
         for k, v in known.items():
-            point[0, k] = v
+            try:
+                point[0, k] = v
+            except (TypeError, ValueError):  # "abc", [0.5], 1j
+                raise ValueError(f"known coordinate {k} has value {v!r}, not a number") from None
             if np.isnan(point[0, k]):
                 raise ValueError(f"known coordinate {k} has value {v!r}; leave it out instead")
     else:
@@ -398,7 +401,7 @@ def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
     if not np.isnan(point[0, i]):
         raise ValueError(f"coordinate {i} is already known")
     family = model.spec.families[i]
-    numerator = _slice_numerators(model, point, model.spec._singles(point, 0))[
+    numerator = _slice_numerators(model, point, model.spec._singles(point))[
         int(np.isnan(point[0, :i]).sum())]  # the cells come in coordinate order
     if numerator[0] <= 0:
         raise _mass_error(i, numerator[0])
@@ -469,7 +472,7 @@ def _impute_rows(model: Model, block, policy: str = EXPECTED) -> list:
     spec, families, names = model.spec, model.spec.families, model.coordinate_names()
     values = np.array(block, dtype=float)
     opened = np.isnan(values).any(axis=1)
-    singles = spec._singles(np.where(opened[:, None], values, np.nan), 0).T  # state, row
+    singles = spec._singles(np.where(opened[:, None], values, np.nan)).T  # state, row
     origin, weight = np.arange(len(values)), np.ones(len(values))
     variance, filled = np.full(values.shape, np.nan), np.full(values.shape, -1)
     notes, errors = [()] * len(values), {}

@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .dataset import Dataset
-from .tensor_basis import BasisSpec, MultiIndex, _blocks, support
+from .tensor_basis import BasisSpec, MultiIndex, support
 
 __all__ = ["Model", "fit", "adapt", "prune", "lambda_schedule"]
 
@@ -133,36 +133,30 @@ def fit(spec: BasisSpec, data: Dataset, names: tuple[str, ...] | None = None,
     its standard error (ddof=1).  Zero evidence yields coefficient 0
     with a flag rather than an error, keeping large sparse fits total.
 
-    Records are read in row blocks of at most FIT_BLOCK function values,
-    and each block's functions one _chunks chunk at a time (values'
-    products), so no functions x rows block exists.  Each block's sums and
-    squared deviations from its own means merge into the running ones
-    (Chan et al.): no digits cancel in the uncertainty.
+    Records are read in the row blocks of BasisSpec.single_blocks.  A
+    block's zero-filled single rows give every function's sum of f (0 at
+    a record missing its support) in one BasisSpec._sums pass and, squared
+    in place, its sum of f^2 in a second, so no function values are
+    formed; counts come from BasisSpec.covered.  A block's squared
+    deviations from its own means are max(sum f^2 - mean * sum f, 0),
+    which loses digits where a function's spread is small beside its
+    mean, and the blocks merge with Chan et al.'s pairwise update.
     """
     if data.d != spec.d:
         raise ValueError(f"data has {data.d} coordinates, spec expects {spec.d}")
     count, coef, m2 = np.zeros((3, len(spec)))
-    buffer = None
-    for rows in _blocks(spec, data.n):
-        block = data.values[rows]
-        F = spec.factors(block, 0)
-        cover = spec.covered(~np.isnan(block))
-        c = cover.sum(axis=1, dtype=np.int32)  # int32: no buffered bool-to-int64 cast
-        mean, squares = np.zeros((2, len(spec)))
-        for funs in spec._chunks(len(block)):
-            size = (funs.stop - funs.start) * len(block)
-            buffer = np.empty(size) if buffer is None or buffer.size < size else buffer
-            V = spec._functions(F, funs, buffer[:size].reshape(-1, len(block)))
-            np.divide(V.sum(axis=1), c[funs], out=mean[funs], where=c[funs] > 0)
-            V -= mean[funs, None]
-            V *= cover[funs]  # deviations where covered, 0 elsewhere
-            squares[funs] = np.einsum("pr,pr->p", V, V)
+    for rows, S in spec.single_blocks(data.values):
+        # int32: no buffered bool-to-int64 cast
+        c = spec.covered(~np.isnan(data.values[rows])).sum(axis=1, dtype=np.int32)
+        total = spec._sums(S)
+        S *= S  # the squared factors: their products are the squared functions
+        mean = np.divide(total, c, out=np.zeros_like(coef), where=c > 0)
+        squares = np.maximum(spec._sums(S) - mean * total, 0.0)
         share = np.divide(c, count + c, out=np.zeros_like(coef), where=c > 0)
         delta = mean - coef
         coef += delta * share
         m2 += squares + delta * delta * count * share
         count += c
-        del F, cover  # so the next block's rows are built without these
     unc = np.sqrt(np.divide(m2, count * (count - 1), out=np.full_like(m2, np.nan), where=count > 1))
     flags = np.where(count == 0, NO_EVIDENCE, np.where(count == 1, UNCERTAINTY_UNDEFINED, ""))
     unc[0], flags[0] = 0.0, ""
@@ -173,8 +167,9 @@ def adapt(model: Model, x, rate: float) -> Model:
     """One exponential-moving-average step toward the new record.
 
     Only functions whose support is fully known in x move:
-    a_f <- (1-rate) a_f + rate f(x).  Their evidence counts increment;
-    nothing ever decays.
+    a_f <- (1-rate) a_f + rate f(x), f(x) from one one-row
+    BasisSpec._sums pass over x's zero-filled single rows.  Their evidence
+    counts increment; nothing ever decays.
     """
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie in (0,1)")
@@ -183,7 +178,8 @@ def adapt(model: Model, x, rate: float) -> Model:
         raise ValueError(f"expected a length-{model.d} record")
     spec, x = model.spec, x[None]
     cover = spec.covered(~np.isnan(x))[:, 0]
-    coef = np.where(cover, (1.0 - rate) * model.coef + rate * spec.values(x, 0)[:, 0], model.coef)
+    coef = np.where(cover, (1.0 - rate) * model.coef + rate * spec._sums(spec._singles(x)),
+                    model.coef)
     return model.with_coefficients(coef, model.count + cover)
 
 

@@ -234,7 +234,8 @@ def repair_negative(model: Model, witness, strategy: str = RESCALE_ALL,
     rescale-all multiplies every non-constant coefficient by one factor
     t in (0,1), which cannot flip signs; reduce-largest moves only the
     coefficient with the largest negative contribution at the witness,
-    just enough to reach the margin.
+    just enough to reach the margin.  The functions at the witness come
+    from one one-row BasisSpec._sums pass.
     """
     if strategy not in (RESCALE_ALL, REDUCE_LARGEST):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -242,7 +243,7 @@ def repair_negative(model: Model, witness, strategy: str = RESCALE_ALL,
     rho = evaluate(model, witness)
     if rho >= margin:
         raise ValueError(f"witness density {rho:.6g} already >= margin {margin:.6g}")
-    terms = model.spec.values(witness[None], 0)[:, 0]
+    terms = model.spec._sums(model.spec._singles(witness[None]))  # one row: each f at it
     contributions = model.coef * terms  # entry 0 is the constant's 1
     coef = model.coef.copy()
     if strategy == RESCALE_ALL:

@@ -65,14 +65,16 @@ class BasisSpec:
     width is the highest family order plus one, and moments stacks each
     coordinate's _moment_table, zero-padded to (d, 3, width).
 
-    The factor plan: factors() gives factor_count rows per point, the
-    constant 1, then the single_count single rows (per family, orders
-    1..top, its highest order read, of each coordinate some function
-    reads, by family, order, coordinate), then one product row per prefix
-    of two or more factors (a function's support less its last
-    coordinate, at its orders), shorter first.  Function p is row
-    prefix[p] (0 for the constant and one-factor functions) times row
-    last[p].  Treated as immutable after construction.
+    The factor plan: per point, the constant 1, then the single_count
+    single rows (_singles: per family, orders 1..top, its highest order
+    read, of each coordinate some function reads, by family, order,
+    coordinate), then one product row per prefix of two or more factors
+    (_products: a function's support less its last coordinate, at its
+    orders), shorter first; factor_count rows in all.  A function is its
+    prefix row (none for the constant and the one-factor functions) times
+    its last factor, a single row: contract sums these products times the
+    coefficients, and _sums sums them over the rows.  Treated as
+    immutable after construction.
     """
 
     d: int
@@ -145,13 +147,10 @@ class BasisSpec:
                                    np.array([key[-1] - 1 for key in group], dtype=np.intp)))
         last = np.zeros(len(level), dtype=np.intp)  # the constant's is the constant row
         last[1:] = single[np.arange(1, len(level)), level[1:] - 1]
-        prefix = [0 if lvl < 2 else row[0] if lvl == 2
-                  else 1 + count + at[tuple(row[:lvl - 1])]  # a product row
-                  for row, lvl in zip(single.tolist(), level.tolist())]
-        self.prefix, self.last = np.array(prefix, dtype=np.intp), last
-        self._pairs = int(np.searchsorted(level, 2))  # the first function of two factors
-        for a in (self.prefix, self.last, self._slope_rows):
-            a.setflags(write=False)
+        prefix = np.array([0 if lvl < 2 else row[0] if lvl == 2
+                           else 1 + count + at[tuple(row[:lvl - 1])]  # a product row
+                           for row, lvl in zip(single.tolist(), level.tolist())], dtype=np.intp)
+        self._slope_rows.setflags(write=False)
         # the contraction's groups: the one-factor functions, then one per
         # level above, whose prefixes are single rows at level 2, product rows above
         bounds = np.searchsorted(level, np.arange(1, level.max(initial=1) + 2)).tolist()
@@ -160,9 +159,9 @@ class BasisSpec:
         for lvl, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), start=2):
             if lo < hi:
                 first = 1 + count if lvl > 2 else 1  # the factor row of the group's row 0
-                (arows, ai), (brows, bi) = _span(self.prefix[lo:hi] - first), _span(last[lo:hi] - 1)
+                (arows, ai), (brows, bi) = _span(prefix[lo:hi] - first), _span(last[lo:hi] - 1)
                 self._groups.append((slice(lo, hi), lvl > 2, arows, brows, ai, bi))
-        # the last rows of every group, which contract scales once per block
+        # the last rows of every group, which _sums scales by the weights once
         self._lasts = _span(last[bounds[1]:] - 1)[0]
 
     def __len__(self) -> int:
@@ -192,18 +191,6 @@ class BasisSpec:
                 cover &= scratch
         return cover.view(bool)
 
-    def factors(self, points, fill: float) -> np.ndarray:
-        """The factor rows of the plan at each row of an (n, d) block of
-        points, (factor_count, n): the constant, _singles(points, fill),
-        then the product rows of _products.  Each prefix row multiplies
-        its factors in ascending coordinate order."""
-        points = np.asarray(points, dtype=float)
-        F = np.empty((self.factor_count, len(points)))
-        F[0] = 1.0  # the constant
-        stop = 1 + self.single_count
-        self._products(self._singles(points, fill, F[1:stop]), F[stop:])
-        return F
-
     def _products(self, singles: np.ndarray, out: np.ndarray) -> None:
         """Write the product rows at the columns of singles into out, shorter
         prefixes first: a left factor (a single row for two factors, else a
@@ -213,19 +200,20 @@ class BasisSpec:
             (out if k else singles).take(left, axis=0, out=block, mode="clip")
             block *= singles[right]
 
-    def _singles(self, points, fill: float, out=None) -> np.ndarray:
+    def _singles(self, points, out=None) -> np.ndarray:
         """The single rows of the plan at each row of an (n, d) block of
         points, (single_count, n), written to out (C-contiguous) when given.
         Per family, every known cell gets eval_all's checks, and
         Family1D._write_orders writes orders 1..top of the coordinates some
         function reads straight into their rows; then a factor at a NaN
-        cell reads fill, written in place."""
+        cell reads 0, written in place, so every function whose support
+        misses a cell of a point is exactly 0 there."""
         points = np.asarray(points, dtype=float).T.copy()  # coordinate, point
         n = points.shape[1]
         missing = np.isnan(points)
         gaps = missing.any()
         if gaps:
-            points[missing] = 0.0  # checked and evaluated as 0, then read as fill
+            points[missing] = 0.0  # checked and evaluated at 0, then overwritten with 0
         if out is None:
             out = np.empty((self.single_count, n))
         for family, cols, read, rows, top in self._columns:
@@ -236,7 +224,7 @@ class BasisSpec:
             table = out[rows].reshape((top,) + x.shape)  # order, coordinate, point: a view
             family._write_orders(x, table)
             if gaps:  # copyto: a boolean setitem's index arrays can outgrow a small table
-                np.copyto(table, fill, where=missing[read])
+                np.copyto(table, 0.0, where=missing[read])
         return out
 
     def _layout(self, coef: np.ndarray):
@@ -254,29 +242,26 @@ class BasisSpec:
     def contract(self, coef: np.ndarray, blocks, out: np.ndarray, floor=None,
                  usable=None, stop: bool = False, grad=None, slopes=None,
                  layout=None) -> bool:
-        """coef @ values(points, 0) into out[rows] for each (rows,
-        _singles(points, 0)) of blocks (layout, if given, is _layout(coef)).
-        Returns whether every usable density (a mask over out) is >= floor,
-        True without one; with stop, no block after the first below it is
-        read.  Given grad (zeros per function), adds values(points, 0) @
-        (1 / out[rows]) into it while every usable density so far is >=
-        floor, 0 for the constant.  Given slopes (zeros, single_count rows,
+        """The density coef . f at every column of (rows, S) of blocks, S
+        being zero-filled single rows (_singles), into out[rows] (layout,
+        if given, is _layout(coef)).  Returns whether every usable density
+        (a mask over out) is >= floor, True without one; with stop, no
+        block after the first below it is read.  Given grad (zeros per
+        function), adds each block's _sums at weights 1 / out[rows] into it
+        while every usable density so far is >= floor, so its sums are whole
+        when the pass returns True.  Given slopes (zeros, single_count rows,
         columns as out), adds each column's slope along every single row:
         coef times the other factors of the functions reading it, 0 if none.
 
         Per block: the constant, a GEMV over the one-factor functions' rows,
         and per level above a GEMM of its coefficients over its prefix rows,
-        times its last rows, summed.  grad reads that transposed; slopes
-        read it and the product rows backwards, one column at a time
-        (_columns), so that no column depends on its neighbours.
+        times its last rows, summed.  _sums reads those rows transposed;
+        slopes read them and the product rows backwards, one column at a
+        time (_columns), so that no column depends on its neighbours.
         """
         (head, mats), span = layout or self._layout(coef), self._head[1]
         mul = np.matmul if slopes is None else _columns
-        summing, held = grad is not None, True
-        if summing:
-            head_sums = np.zeros_like(head)
-            sums = [np.zeros(C.T.shape) for C in mats]  # C-ordered: adding into C.T is slower
-        m, buffer, lo = self.factor_count - 1 - self.single_count, None, self._lasts.start
+        m, buffer, held = self.factor_count - 1 - self.single_count, None, True
         for rows, S in blocks:
             buffer = np.empty(m * S.shape[1]) if buffer is None else buffer
             P = buffer[:m * S.shape[1]].reshape(m, S.shape[1])
@@ -304,20 +289,29 @@ class BasisSpec:
                 if stop:
                     return False
                 held = False
-                continue
-            if not summing:
-                continue
-            w = 1.0 / r
-            head_sums += S[span] @ w
-            scaled = S[self._lasts] * w
-            for G, (_, products, arows, brows, _, _) in zip(sums, self._groups):
-                G += (P if products else S)[arows] @ scaled[brows.start - lo:brows.stop - lo].T
-        if summing and held:
-            funs, _, cols = self._head
-            grad[funs] = head_sums[cols]
-            for G, (fun, _, _, _, ai, bi) in zip(sums, self._groups):
-                grad[fun] = G[ai, bi]
+            elif grad is not None:
+                grad += self._sums(S, P, 1.0 / r)
         return held
+
+    def _sums(self, S: np.ndarray, P=None, w=None) -> np.ndarray:
+        """Sum of w times f over the columns of single rows S for every
+        selected function f, the sum of w for the constant (w None: every
+        weight 1).  P holds the product rows of S (_products), built here
+        when None.  One GEMV over the one-factor functions' rows and, per
+        level above, one GEMM of its prefix rows against its last rows
+        times w, each group's sums gathered from its product matrix."""
+        if P is None:
+            P = np.empty((self.factor_count - 1 - self.single_count, S.shape[1]))
+            self._products(S, P)
+        (funs, span, cols), lo = self._head, self._lasts.start
+        lasts = S[self._lasts] if w is None else S[self._lasts] * w
+        out = np.empty(len(self))
+        out[0] = S.shape[1] if w is None else w.sum()
+        out[funs] = (S[span].sum(axis=1) if w is None else S[span] @ w)[cols]
+        for fun, products, arows, brows, ai, bi in self._groups:
+            G = (P if products else S)[arows] @ lasts[brows.start - lo:brows.stop - lo].T
+            out[fun] = G[ai, bi]
+        return out
 
     def _refill(self, S: np.ndarray, i: int, at, x: np.ndarray) -> None:
         """Write coordinate i's single rows at x (in [0,1], unchecked) into
@@ -329,7 +323,7 @@ class BasisSpec:
         S[rows[:, None], at] = table
 
     def single_blocks(self, points):
-        """(rows, _singles(points[rows], 0)) for each row block of _blocks
+        """(rows, _singles(points[rows])) for each row block of _blocks
         over an (n, d) array of points; every block's single rows are
         written into one buffer sized for the first (the largest), so a
         block's rows are valid until the next block is read."""
@@ -338,35 +332,7 @@ class BasisSpec:
             n = rows.stop - rows.start
             buffer = np.empty(self.single_count * n) if buffer is None else buffer
             S = buffer[:self.single_count * n].reshape(self.single_count, n)
-            yield rows, self._singles(points[rows], 0, S)
-
-    def _chunks(self, n: int):
-        """Slices of the selected functions, FIT_BLOCK >> 3 values each at n
-        points (one function at least); one chunk while n is small."""
-        step = max(1, (FIT_BLOCK >> 3) // max(1, n))
-        return (slice(lo, min(lo + step, len(self))) for lo in range(0, len(self), step))
-
-    def _functions(self, F: np.ndarray, funs: slice, out: np.ndarray) -> np.ndarray:
-        """The functions funs (a slice of selected) at the columns of the
-        factor rows F, written to out: each one's last row times its prefix
-        row (none for the constant and the one-factor functions)."""
-        F.take(self.last[funs], axis=0, out=out, mode="clip")  # "clip": no buffering
-        pairs = max(0, self._pairs - funs.start)
-        if pairs < len(out):
-            out[pairs:] *= F[self.prefix[funs][pairs:]]
-        return out
-
-    def values(self, points, fill: float) -> np.ndarray:
-        """Every selected function at each row of an (n, d) block of
-        points, (functions, n): its prefix row times its last row of
-        factors(points, fill), one _chunks chunk at a time.  With fill 0 a
-        function whose support misses a cell is exactly 0; with fill 1 the
-        unknown factors drop out."""
-        F = self.factors(points, fill)
-        out = np.empty((len(self), F.shape[1]))
-        for funs in self._chunks(F.shape[1]):
-            self._functions(F, funs, out[funs])
-        return out
+            yield rows, self._singles(points[rows], S)
 
     def eval_function(self, j: MultiIndex, x: Sequence[float]) -> float:
         """Product of 1-D factors over support(j); other slots never read."""

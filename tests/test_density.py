@@ -127,7 +127,9 @@ def test_slice_validation():
 @pytest.mark.parametrize("known, i, named", [
     ({0.5: 0.5}, 1, "coordinate 0.5 "), ({"0": 0.5}, 1, "coordinate '0' "),
     ({0: 0.5}, 1.0, "coordinate 1.0 "), ({0: 0.5}, True, "coordinate True "),
-    ({0: nan}, 1, "known coordinate 0 has value nan")])
+    ({0: nan}, 1, "known coordinate 0 has value nan"),
+    ({0: "abc"}, 1, "known coordinate 0 has value 'abc', not a number"),
+    ({0: [0.5]}, 1, "known coordinate 0 has value [0.5], not a number")])
 def test_slice_names_a_key_that_is_no_index_and_a_nan_known_value(known, i, named):
     m = make_model(build_full(2, legendre(1), 1), {(1, 0): 0.2})
     with pytest.raises(ValueError) as err:

@@ -363,6 +363,14 @@ def _random_fit_case(seed):
     return spec, np.vstack([x, np.full((1, d), np.nan)])
 
 
+def _unc_tolerance(vals):
+    """fit's uncertainty tolerance: a block's squared deviations are
+    sum f^2 - mean * sum f, which loses up to about 1e-14 of sum f^2 to
+    cancellation (2.2e-16 seen); through the square root that is
+    sqrt(1e-14 * sum f^2 / (c (c - 1))) for c records, on top of 1e-12."""
+    return 1e-12 + np.sqrt(1e-14 * np.sum(vals * vals) / (vals.size * (vals.size - 1)))
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, None])
 @given(seed=st.integers(0, 2**32 - 1))
 def test_fit_equals_the_masked_mean(rows, seed):
@@ -389,7 +397,7 @@ def test_fit_equals_the_masked_mean(rows, seed):
         else:
             want_flags.append("")
             assert abs(m.coef[p] - vals.mean()) <= 1e-12
-            assert abs(m.unc[p] - vals.std(ddof=1) / np.sqrt(vals.size)) <= 1e-12
+            assert abs(m.unc[p] - vals.std(ddof=1) / np.sqrt(vals.size)) <= _unc_tolerance(vals)
     assert list(m.term_flags) == want_flags
     assert m.evidence == want_ev
 
@@ -421,6 +429,31 @@ def test_fit_evidence_and_flags_are_exact_past_one_byte(seed, d, rows):
     want_flags[0] = ""
     assert m.evidence == want_ev
     assert list(m.term_flags) == want_flags
+
+
+def test_fit_keeps_the_uncertainty_of_concentrated_data():
+    # sd / |mean| of 2.5e-4 for the order-1 functions: a block's sum f^2 and
+    # mean * sum f agree to 8 digits, so the one-pass spread keeps about 8
+    # (4.4e-9 relative here); a constant coordinate's spread is 0, and the
+    # m2 clamp keeps its uncertainty a number
+    rng = np.random.default_rng(21)
+    x = np.clip(0.9 + 1e-4 * rng.standard_normal((20_000, 4)), 0.0, 1.0)
+    x[:, 3] = 0.9
+    x[rng.random(x.shape) < 0.2] = np.nan
+    spec = build_full(4, legendre(2), {1: 2, 2: 2, 3: 1, 4: 0})
+    m = fit(spec, Dataset(x))
+    assert np.array_equal(np.isnan(m.unc[1:]), m.count[1:] < 2)
+    for p, j in enumerate(spec.selected[1:], start=1):
+        known = ~np.isnan(x[:, list(support(j))]).any(axis=1)
+        vals = np.ones(int(known.sum()))
+        for i in support(j):
+            vals = vals * spec.families[i].eval_all(x[known, i])[j[i]]
+        want = vals.std(ddof=1) / np.sqrt(vals.size)
+        if support(j) == (3,):
+            assert want < 1e-15 and abs(m.unc[p] - want) <= _unc_tolerance(vals)
+        else:
+            assert m.unc[p] == pytest.approx(want, rel=1e-7)
+    assert min(m.unc[1:4] * np.sqrt(m.count[1:4]) / np.abs(m.coef[1:4])) < 3e-4
 
 
 def _fit_peak_mb(n):
@@ -511,8 +544,9 @@ def test_fit_holds_one_block_of_values_at_a_time():
     finally:
         tracemalloc.stop()
     # one block of values would be FIT_BLOCK * 8 bytes; fit holds a block's
-    # factor rows and cover and one chunk of values, never a whole block
-    assert peak < tensor_basis.FIT_BLOCK * 8, peak
+    # single and product rows and its cover (0.43 of it), never a value of
+    # a function (0.71 when it formed them a chunk at a time)
+    assert peak < 0.6 * tensor_basis.FIT_BLOCK * 8, peak
 
 
 def _peak(call, *args):
@@ -532,7 +566,7 @@ def test_singles_of_one_block_peak_below_twice_their_rows():
     block = data.values[:2496]  # one FIT_BLOCK row block, with missing cells
     # the rows are written in place: beside them only the points' transposed
     # copy, its NaN mask and one row of the recurrence
-    assert _peak(spec._singles, block, 0) < 2 * spec.single_count * len(block) * 8
+    assert _peak(spec._singles, block) < 2 * spec.single_count * len(block) * 8
 
 
 def test_covered_holds_its_result_and_at_most_one_byte_array():

@@ -248,22 +248,6 @@ def ref_known_products(model, values):
                       for j in spec.selected] for x in values]).reshape(len(values), len(spec))
 
 
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(0, 9),
-       missing=st.sampled_from([0.0, 0.3, 0.6, 1.0]), constant_only=st.booleans())
-def test_values_match_the_scalar_products(seed, d, n, missing, constant_only):
-    model, rng = random_model(seed, d)
-    if constant_only:
-        model = Model(BasisSpec(d, model.spec.families, ()), {}, {}, {})
-    values = random_records(rng, model, n, missing) if n else np.empty((0, d))
-    if n and rng.random() < 0.5:
-        values[:, rng.integers(d)] = np.nan  # a fully-missing column
-    F = ref_terms(model, values)
-    zero_filled, known_only = model.spec.values(values, 0), model.spec.values(values, 1)
-    assert zero_filled.shape == known_only.shape == (len(model.spec), n)
-    assert np.allclose(zero_filled, np.where(np.isnan(F), 0.0, F).T, rtol=1e-12, atol=1e-12)
-    assert np.allclose(known_only, ref_known_products(model, values).T, rtol=1e-12, atol=1e-12)
-
-
 def random_sparse_spec(seed, d):
     """Mixed families and up to 30 functions on random supports of any
     size, so that supports reach every byte of a d-bit presence code."""
@@ -279,9 +263,12 @@ def random_sparse_spec(seed, d):
 
 
 def level_tail_values(spec, points, fill):
-    """The reference for BasisSpec.values: a coordinate-major table of
-    every order, then each function's factor l multiplied into the tail
-    of the functions with more than l factors, level by level."""
+    """Every selected function at each row of an (n, d) block of points,
+    (functions, n), with each factor at a NaN cell read as fill (0: the
+    function is 0 there; 1: its unknown factors drop out): a
+    coordinate-major table of every order, then each function's factor l
+    multiplied into the tail of the functions with more than l factors,
+    level by level."""
     level = spec.touch.sum(axis=1)
     coords = np.argsort(spec.orders == 0, axis=1, kind="stable")
     rows = coords * spec.width + np.take_along_axis(spec.orders, coords, axis=1)
@@ -325,25 +312,64 @@ def deep_sparse_spec(seed, d):
     return BasisSpec(d, families, tuple(selected)), rng
 
 
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(4, 6), n=st.integers(0, 9),
-       missing=st.sampled_from([0.0, 0.3, 1.0]), fill=st.sampled_from([0.0, 1.0]),
-       block=st.sampled_from([None, 8, 64]))  # values' gather chunk: 1 and 8 values
-def test_values_equal_the_level_tail_products_bit_for_bit(seed, d, n, missing, fill, block):
-    spec, rng = deep_sparse_spec(seed, d)
+def random_full_spec(seed, d):
+    """build_full over mixed families, each level's order at most every
+    family's capacity, and at most 1 above two factors."""
+    rng = np.random.default_rng(seed)
+    families = tuple(random_family(rng) for _ in range(d))
+    cap = min(f.max_order for f in families)
+    level_orders = {lvl: int(rng.integers(0, min(cap, 3 if lvl < 3 else 1) + 1))
+                    for lvl in range(1, d + 1)}
+    return build_full(d, families, level_orders), rng
+
+
+def random_points(rng, spec, n, missing):
+    """n points, cells missing at rate `missing`, and with probability 1/2
+    each a fully-missing row and a fully-missing column."""
     points = np.array([[random_value(rng, f) for f in spec.families] for _ in range(n)])
-    points = points.reshape(n, d)
+    points = points.reshape(n, spec.d)
     points[rng.random(points.shape) < missing] = np.nan
     if n and rng.random() < 0.5:
-        points[rng.integers(n)] = np.nan  # a fully-missing row
+        points[rng.integers(n)] = np.nan
     if n and rng.random() < 0.5:
-        points[:, rng.integers(d)] = np.nan  # a fully-missing column
-    with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", block or hcr.tensor_basis.FIT_BLOCK):
-        got = spec.values(points, fill)
-    assert got.shape == (len(spec), n)
-    assert np.array_equal(got, level_tail_values(spec, points, fill))
-    F = spec.factors(points, fill)
-    assert F.shape == (spec.factor_count, n) and np.isfinite(F).all()
-    assert np.array_equal(got, F[spec.prefix] * F[spec.last])
+        points[:, rng.integers(spec.d)] = np.nan
+    return points
+
+
+SPECS = {"full": random_full_spec, "sparse": random_sparse_spec,
+         "deep": lambda seed, d: deep_sparse_spec(seed, max(d, 4))}  # supports of 4 and more
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), n=st.integers(0, 9),
+       missing=st.sampled_from([0.0, 0.3, 0.6, 1.0]), kind=st.sampled_from(sorted(SPECS)),
+       weighted=st.booleans())
+def test_sums_match_the_level_tail_products(seed, d, n, missing, kind, weighted):
+    """The reference against the scalar products (zero-filled, and with
+    the unknown factors dropped), then _sums against the reference: each
+    sum within 1e-12 of its terms' absolute sum, the constant's the sum
+    of the weights."""
+    spec, rng = SPECS[kind](seed, d)
+    points = random_points(rng, spec, n, missing)
+    V = level_tail_values(spec, points, 0)
+    F = ref_terms(SimpleNamespace(spec=spec), points)
+    assert np.allclose(V, np.where(np.isnan(F), 0.0, F).T, rtol=1e-12, atol=1e-12)
+    assert np.allclose(level_tail_values(spec, points, 1),
+                       ref_known_products(SimpleNamespace(spec=spec), points).T,
+                       rtol=1e-12, atol=1e-12)
+    w = rng.uniform(0.1, 10.0, n) if weighted else None
+    got = spec._sums(spec._singles(points), w=w)
+    w = np.ones(n) if w is None else w
+    assert got.shape == (len(spec),)
+    assert np.all(np.abs(got - V @ w) <= 1e-12 * (np.abs(V) @ w))  # V[0] is 1: the sum of w
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
+       missing=st.sampled_from([0.0, 0.3, 1.0]), kind=st.sampled_from(sorted(SPECS)))
+def test_one_row_sums_equal_the_level_tail_products_bit_for_bit(seed, d, missing, kind):
+    """One row without weights, as adapt and repair_negative read it."""
+    spec, rng = SPECS[kind](seed, d)
+    point = random_points(rng, spec, 1, missing)
+    assert np.array_equal(spec._sums(spec._singles(point)), level_tail_values(spec, point, 0)[:, 0])
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 17), n=st.integers(0, 12),
@@ -443,7 +469,7 @@ def test_workspace_reductions_match_the_function_values(rows, seed, d, missing, 
     else:
         model, rng = random_model(seed, d)
     values = random_records(rng, model, int(rng.integers(1, 10)), missing)
-    V = model.spec.values(values, 0)
+    V = level_tail_values(model.spec, values, 0)
     with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", rows * len(model.spec)):
         ws = _Workspace(model, Dataset(values))
         # BLAS sums in its own order: each sum to 1e-12 of its terms' absolute sum
@@ -470,7 +496,7 @@ def stored_reading(spec, coef, values):
     with the GEMMs of BasisSpec.contract."""
     blocks = []
     for rows in _blocks(spec, len(values)):
-        S = spec._singles(values[rows], 0)
+        S = spec._singles(values[rows])
         P = np.empty((spec.factor_count - 1 - spec.single_count, S.shape[1]))
         spec._products(S, P)
         blocks.append((rows, S, P))
@@ -558,17 +584,6 @@ def test_the_last_step_checks_the_margin_without_gradient_sums():
     assert first == trace[:1]
 
 
-def random_full_spec(seed, d):
-    """build_full over mixed families, each level's order at most every
-    family's capacity, and at most 1 above two factors."""
-    rng = np.random.default_rng(seed)
-    families = tuple(random_family(rng) for _ in range(d))
-    cap = min(f.max_order for f in families)
-    level_orders = {lvl: int(rng.integers(0, min(cap, 3 if lvl < 3 else 1) + 1))
-                    for lvl in range(1, d + 1)}
-    return build_full(d, families, level_orders), rng
-
-
 @pytest.mark.parametrize("rows", [1, 3])
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), n=st.integers(1, 12),
        sparse=st.booleans())
@@ -597,7 +612,7 @@ def test_workspace_keeps_only_the_single_rows_read():
         ws.densities(np.zeros(len(spec)), _POSITIVE)
     # orders 1..4 of coordinates 0 and 1
     assert [call.args[0].shape for call in singles.call_args_list] == [(5, 10)]
-    assert spec._singles(values, 0).shape == (8, 5)
+    assert spec._singles(values).shape == (8, 5)
 
 
 def test_unread_coordinates_are_checked_without_their_tables():
@@ -1064,9 +1079,9 @@ def test_numerators_match_the_per_coordinate_reference(seed, d, policy, states_p
     numerators, seen = hcr.density._slice_numerators, []
 
     def checked(model, points, singles):
-        assert np.array_equal(singles, model.spec._singles(points, 0))
+        assert np.array_equal(singles, model.spec._singles(points))
         got = numerators(model, points, singles)
-        products, missing = model.spec.values(points, 1), np.isnan(points)
+        products, missing = level_tail_values(model.spec, points, 1), np.isnan(points)
         cells = (np.arange(len(points)), missing, missing)
         want = ref_numerators(model, products, *cells)
         scale = ref_numerators(SimpleNamespace(spec=model.spec, coef=np.abs(model.coef)),
