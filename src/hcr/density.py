@@ -15,7 +15,7 @@ import numpy as np
 from .basis1d import Family1D, _legendre_scale, _moment_table, gauss_nodes
 from .errors import MissingCoordinateError, NonpositiveMassError
 from .estimator import Model
-from .tensor_basis import _blocks
+from .tensor_basis import _blocks, _whole
 
 __all__ = [
     "evaluate",
@@ -41,22 +41,28 @@ MASS_FLOOR = 0.01  # cluster-split slivers below this merge into a neighbor
 
 
 def evaluate_points(model: Model, points: np.ndarray) -> np.ndarray:
-    """Densities at an (n, d) block of points, BasisSpec.contract over
-    BasisSpec.single_blocks as refine reads them: the sum of coef times
-    each function to 1e-12 of the terms' absolute sum.  A NaN cell
-    raises MissingCoordinateError unless no selected function reads its
-    coordinate (as for the coordinates a marginal model dropped)."""
+    """Densities at an (n, d) block of points, each row block's densities
+    from BasisSpec.contract over BasisSpec.single_blocks, as refine reads
+    them, written into the output: the sum of coef times each function to
+    1e-12 of the terms' absolute sum.  A NaN cell raises
+    MissingCoordinateError unless no selected function reads its
+    coordinate (as for the coordinates a marginal model dropped); the NaN
+    mask is dropped before the pass."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.ndim != 2 or points.shape[1] != model.d:
         raise ValueError(f"expected points of width {model.d}, got shape {points.shape}")
-    missing = np.isnan(points) & model.spec.orders.any(axis=0)
+    missing = np.isnan(points)
+    missing &= model.spec.orders.any(axis=0)
     if missing.any():
         row = int(np.flatnonzero(missing.any(axis=1))[0])
         raise MissingCoordinateError(
             f"point {row} is missing coordinates {np.flatnonzero(missing[row]).tolist()}; "
             "use conditional_slice")
+    del missing
     out = np.empty(len(points))
-    model.spec.contract(model.coef, model.spec.single_blocks(points), out, layout=model.layout)
+    for rows, rho, _, _ in model.spec.contract(model.coef, model.spec.single_blocks(points),
+                                               layout=model.layout):
+        out[rows] = rho
     return out
 
 
@@ -86,10 +92,17 @@ def marginalize(model: Model, keep) -> Model:
     keep = frozenset(keep)
     if not keep:
         raise ValueError("keep must name at least one coordinate")
-    if not keep <= set(range(model.d)):
-        raise ValueError(f"keep out of range for d={model.d}")
+    for k in keep:
+        _check_coordinate(k, model.d)
     dropped = [i for i in range(model.d) if i not in keep]
     return model.restricted(~model.spec.orders[:, dropped].any(axis=1))
+
+
+def _check_coordinate(k, d: int) -> None:
+    """Raise ValueError unless k is a coordinate index in 0..d-1: an int or
+    numpy integer, not a bool, float or str."""
+    if not _whole(k) or not 0 <= k < d:
+        raise ValueError(f"coordinate {k!r} is not an index in 0..{d - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +394,8 @@ def conditional_slice(model: Model, known, i: int) -> ConditionalSlice:
     _slice_numerators of this one state; the order-0 one, the restriction
     to the known set, is the denominator.
     """
-    for k in [i, *known] if isinstance(known, dict) else [i]:  # no bool, float or str
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < model.d:
-            raise ValueError(f"coordinate {k!r} is not an index in 0..{model.d - 1}")
+    for k in [i, *known] if isinstance(known, dict) else [i]:
+        _check_coordinate(k, model.d)
     point = np.full((1, model.d), np.nan)
     if isinstance(known, dict):
         for k, v in known.items():
@@ -416,8 +428,10 @@ def _slice_numerators(model: Model, points: np.ndarray, singles: np.ndarray) -> 
     the order-o functions of i touching no other unknown)."""
     spec = model.spec
     table = np.zeros((spec.single_count + 2, len(points)))  # density, slopes, a zero row
-    spec.contract(model.coef, ((rows, singles[:, rows]) for rows in _blocks(spec, len(points))),
-                  table[0], slopes=table[1:-1], layout=model.layout)
+    for rows, rho, _, _ in spec.contract(
+            model.coef, ((rows, singles[:, rows]) for rows in _blocks(spec, len(points))),
+            slopes=table[1:-1], layout=model.layout):
+        table[0, rows] = rho
     point, coord = np.isnan(points).nonzero()
     return table.take(spec._slope_rows[coord] * len(points) + point[:, None])  # flat: holds less
 

@@ -15,7 +15,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .dataset import Dataset
-from .tensor_basis import BasisSpec, MultiIndex, support
+from .tensor_basis import BasisSpec, MultiIndex, _whole, support
 
 __all__ = ["Model", "fit", "adapt", "prune", "lambda_schedule"]
 
@@ -184,9 +184,13 @@ def adapt(model: Model, x, rate: float) -> Model:
 
 
 def lambda_schedule(horizon: int, start: float = 0.05, end: float = 0.001) -> np.ndarray:
-    """Geometrically decaying learning rates from start to end."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    """Geometrically decaying learning rates from start to end, each in
+    (0, 1), adapt's rate range."""
+    if not _whole(horizon) or horizon < 1:
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    for name, rate in (("start", start), ("end", end)):
+        if not 0.0 < rate < 1.0:  # NaN fails
+            raise ValueError(f"{name} rate must lie in (0,1), got {rate!r}")
     if horizon == 1:
         return np.array([start])
     return start * (end / start) ** (np.arange(horizon) / (horizon - 1))

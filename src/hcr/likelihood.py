@@ -9,8 +9,11 @@ documented interpretation, not a unique one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +21,7 @@ from .dataset import Dataset
 from .density import evaluate, evaluate_points
 from .errors import NonpositiveMassError, PositivityError
 from .estimator import Model
-from .tensor_basis import MultiIndex, _blocks
+from .tensor_basis import MultiIndex, _blocks, _whole
 
 __all__ = [
     "RefineConfig",
@@ -48,8 +51,8 @@ class RefineConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.steps >= 0:
-            raise ValueError("steps must be >= 0")
+        if not _whole(self.steps) or self.steps < 0:
+            raise ValueError(f"steps must be an integer >= 0, got {self.steps!r}")
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if not self.ridge >= 0:
@@ -71,80 +74,131 @@ class TraceStep:
 _POSITIVE = np.finfo(float).smallest_subnormal  # a density is >= this iff it is > 0
 
 
+class _Reading(NamedTuple):
+    """What one workspace pass keeps of its densities rho, summed block
+    by block; a pass that stops early keeps the blocks it read.
+
+    loglik: the mean of log rho over the complete records (NaN without
+    one), a sum of block sums, read while bad is empty.  lowest and
+    worst: the lowest usable density and its record (inf and -1 without
+    a usable record); a NaN density is the lowest, as it fails every
+    floor.  bad and bad_count: the first 10 complete records with
+    rho <= 0 and how many there are.  complete_low, read while bad is not
+    empty: the lowest complete density (NaN if one is NaN), taken only in
+    blocks whose lowest usable density is not > 0, as no other block
+    holds it.  grad: the gradient at rho when asked for and every usable
+    density is >= the floor, else None; a function's entry is the mean of
+    f/rho over the records covering it, 0 for the constant and for
+    functions without evidence.
+    """
+
+    loglik: float
+    lowest: float
+    worst: int
+    bad: list
+    bad_count: int
+    complete_low: float
+    grad: np.ndarray | None
+
+
 class _Workspace:
-    """A record set read in FIT_BLOCK row blocks.  It keeps each
-    function's evidence counts and the usable and complete masks from a
-    first pass; every later pass, one per density evaluation, reads the
-    records through BasisSpec.single_blocks, which refills one buffer of
-    zero-filled single rows per block instead of storing them, so it
-    holds a few floats per record and one block."""
+    """A record set read in FIT_BLOCK row blocks.  It keeps the usable and
+    complete masks (two bytes per record) from a first pass and, once the
+    gradient asks for them, each function's evidence counts.  Every pass
+    at a coefficient vector (read) reads the records through
+    BasisSpec.single_blocks and BasisSpec.contract, which refill one
+    buffer of single rows and one of product rows per block, and reduces
+    each block's densities to a _Reading as it goes, so it keeps no
+    density, single row or record copy beyond one block."""
 
     def __init__(self, model: Model, data: Dataset):
         if data.d != model.d:
             raise ValueError(f"data has {data.d} coordinates, model expects {model.d}")
         self.spec, self.records, n = model.spec, data.values, data.n
-        self.counts = np.zeros(len(self.spec), dtype=np.int64)
         self.usable, self.complete = np.empty((2, n), dtype=bool)
         for rows in _blocks(self.spec, n):
             present = ~np.isnan(self.records[rows])
-            # an int32 sum skips the buffered bool-to-int64 cast
-            self.counts += self.spec.covered(present).sum(axis=1, dtype=np.int32)
             self.usable[rows] = present.any(axis=1)  # a fully-missing record supports nothing
             self.complete[rows] = present.all(axis=1)
 
-    def densities(self, coef: np.ndarray, floor: float | None, stop: bool = True):
-        """One pass: per record the marginal density at coef over the
-        record's known set (1 for a fully-missing record), and, given a
-        floor, the gradient at those densities while every usable one so
-        far is >= floor, else None.  The gradient entry of a function is
-        the mean of f/rho over the records covering it; 0 for the
-        constant and for functions without evidence.  With stop, the
-        first block holding a usable density below floor ends the pass,
-        and the densities after it are left unset."""
-        rho = np.empty(len(self.usable))
-        sums = None if floor is None else np.zeros(len(self.spec))
-        held = self.spec.contract(coef, self.spec.single_blocks(self.records), rho, floor,
-                                  self.usable, stop, grad=sums)
-        if not held or sums is None:
-            return rho, None
-        grad = np.divide(sums, self.counts, out=np.zeros_like(sums), where=self.counts > 0)
-        grad[0] = 0.0  # the constant coefficient is fixed
-        return rho, grad
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Each function's evidence count: the records covering it."""
+        counts = np.zeros(len(self.spec), dtype=np.int64)
+        for rows in _blocks(self.spec, len(self.records)):
+            # an int32 sum skips the buffered bool-to-int64 cast
+            counts += self.spec.covered(~np.isnan(self.records[rows])).sum(axis=1, dtype=np.int32)
+        return counts
 
-    def clears(self, coef: np.ndarray, floor: float):
-        """The densities pass of densities without the gradient sums:
-        the densities at coef, and whether every usable one is >= floor.
-        The first block holding a usable density below floor ends it."""
-        rho = np.empty(len(self.usable))
-        return rho, self.spec.contract(coef, self.spec.single_blocks(self.records), rho, floor,
-                                       self.usable, stop=True)
+    def read(self, coef: np.ndarray, floor: float = -np.inf, stop: bool = False,
+             grad: bool = False) -> _Reading:
+        """One pass at coef: per record the marginal density rho over the
+        record's known set (1 for a fully-missing record), reduced block by
+        block.  With grad, each block's BasisSpec._sums at weights 1/rho
+        are added while every usable density so far is >= floor.  With
+        stop, the first block holding a usable density below floor (or
+        NaN) ends the pass."""
+        spec = self.spec
+        sums = np.zeros(len(spec)) if grad else None
+        lowest, worst, held = np.inf, -1, True
+        total, bad, bad_count, complete_low = 0.0, [], 0, np.inf
+        for rows, r, S, P in spec.contract(coef, spec.single_blocks(self.records)):
+            low, k = _lowest(r, self.usable[rows])
+            if not math.isnan(lowest) and not low >= lowest:
+                lowest, worst = low, rows.start + k
+            complete = self.complete[rows]
+            if not low > 0:  # complete records <= 0 or NaN are among the usable ones
+                complete_low = np.minimum(complete_low,
+                                          np.min(r, where=complete, initial=np.inf))
+                nonpositive = np.flatnonzero(complete & (r <= 0))
+                bad += (rows.start + nonpositive[:10 - len(bad)]).tolist()
+                bad_count += nonpositive.size
+            if not bad_count:  # the log-likelihood is read only without them
+                logs = r[complete]
+                total += np.log(logs, out=logs).sum()
+                del logs
+            if held and not low >= floor:
+                held = False
+                if stop:
+                    break
+            if held and grad:
+                sums += spec._sums(S, P, 1.0 / r)
+        if held and grad:
+            sums = np.divide(sums, self.counts, out=np.zeros_like(sums), where=self.counts > 0)
+            sums[0] = 0.0  # the constant coefficient is fixed
+        else:
+            sums = None
+        n = int(self.complete.sum())
+        return _Reading(float(total / n) if n else float("nan"), lowest, worst, bad, bad_count,
+                        float(complete_low), sums)
 
-    def loglik(self, rho: np.ndarray) -> float:
-        if not self.complete.any():
-            return float("nan")
-        logs = rho[self.complete]
-        return float(np.mean(np.log(logs, out=logs)))
+
+def _lowest(values: np.ndarray, mask: np.ndarray) -> tuple[float, int]:
+    """The lowest of values where mask holds and its index, (inf, 0) where
+    it holds nowhere; a NaN is the lowest, the first one if several."""
+    masked = np.where(mask, values, np.inf)
+    k = int(np.argmin(masked))
+    return float(masked[k]), k
 
 
 def log_likelihood(model: Model, data: Dataset) -> float:
-    """Average log-density over the complete records.
+    """Average log-density over the complete records, from one workspace
+    pass summed block by block.
 
     Records with any missing cell are skipped: the full-point density is
     undefined for them, and they enter through the gradient instead.
     """
-    mask = data.complete_mask()
-    if not mask.any():
+    ws = _Workspace(model, data)
+    if not ws.complete.any():
         raise ValueError("log-likelihood needs at least one complete record")
-    rho = evaluate_points(model, data.values[mask])
-    rows = np.flatnonzero(mask)
-    bad = rows[rho <= 0]
-    if bad.size:
+    reading = ws.read(model.coef)
+    if reading.bad_count:
         raise NonpositiveMassError(
-            f"nonpositive density at records {bad.tolist()[:10]}"
-            f"{'...' if bad.size > 10 else ''}; repair the model first",
-            float(rho.min()),
+            f"nonpositive density at records {reading.bad}"
+            f"{'...' if reading.bad_count > 10 else ''}; repair the model first",
+            reading.complete_low,
         )
-    return float(np.mean(np.log(rho)))
+    return reading.loglik
 
 
 def gradient(model: Model, data: Dataset) -> dict[MultiIndex, float]:
@@ -152,19 +206,21 @@ def gradient(model: Model, data: Dataset) -> dict[MultiIndex, float]:
 
     For coefficient a_f with support C the entry averages f(x)/rho(x)
     over the records knowing C, where rho is each record's marginal
-    density over its own known set.  The constant's entry is 0.
+    density over its own known set.  The constant's entry is 0.  One
+    workspace pass reads every block, so a nonpositive density is named
+    by the worst record.
     """
-    rho, grad = _Workspace(model, data).densities(model.coef, _POSITIVE, stop=False)
-    _check_positive(rho)
-    return dict(zip(model.spec.selected, grad.tolist()))
+    reading = _Workspace(model, data).read(model.coef, _POSITIVE, grad=True)
+    _check_positive(reading)
+    return dict(zip(model.spec.selected, reading.grad.tolist()))
 
 
-def _check_positive(rho: np.ndarray):
-    # a fully-missing record's density is 1, so a nonpositive one is a usable
-    # record's; a NaN one fails too, as it fails the pass's floor
-    if rho.size and not rho.min() > 0:
-        k = int(np.argmin(rho))
-        raise NonpositiveMassError(f"record {k} has marginal density {rho[k]:.6g}", float(rho[k]))
+def _check_positive(reading: _Reading):
+    # a fully-missing record's density is 1, so only a usable record's can
+    # fail; a NaN one fails too, as it fails the pass's floor
+    if not reading.lowest > 0:
+        raise NonpositiveMassError(
+            f"record {reading.worst} has marginal density {reading.lowest:.6g}", reading.lowest)
 
 
 def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, list[TraceStep]]:
@@ -175,39 +231,36 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
     fully complete data the shrink also enforces a non-decreasing
     penalized objective (with incomplete data the gradient is
     approximate, so the trace is indicative only).  Aborts after 60
-    shrinks.  Each candidate costs one pass over the records in row
-    blocks, which yields its densities and, when they keep the margin,
-    the gradient at them: an accepted candidate's pass already holds the
-    next step's gradient.  The last step's candidates only check the
-    margin, without the gradient sums.  A pass stops at the first block
-    below the margin.
+    shrinks.  Each candidate costs one workspace pass over the records in
+    row blocks, which yields its log-likelihood (a sum of block sums)
+    and, when its densities keep the margin, the gradient at them: an
+    accepted candidate's pass already holds the next step's gradient.
+    The last step's candidates only check the margin, without the
+    gradient sums.  A candidate's pass stops at the first block below the
+    margin; the pass at the starting coefficients reads every block, so
+    a nonpositive density is named by the worst record.
     """
     ws = _Workspace(model, data)
     coef = model.coef  # coef[0], the constant's, stays 1: its gradient entry is 0
     all_complete = ws.complete.size > 0 and bool(ws.complete.all())
     floor = config.positivity_margin or _POSITIVE
-    rho, g = ws.densities(coef, _POSITIVE, stop=False)  # every density, so the check names the worst
-    _check_positive(rho)
+    start = ws.read(coef, _POSITIVE, grad=True)
+    _check_positive(start)
 
-    def objective(c, r):
-        f = ws.loglik(r)
-        return f, f - config.ridge * float(np.sum(c[1:] ** 2))
+    def objective(c, f):
+        return f - config.ridge * float(np.sum(c[1:] ** 2))
 
     trace: list[TraceStep] = []
-    _, current_obj = objective(coef, rho)
-    del rho  # later densities live only in their candidate's pass
+    g, current_obj = start.grad, objective(coef, start.loglik)
     for step in range(config.steps):
         g[1:] -= 2.0 * config.ridge * coef[1:]
         scale = config.step_size
         for attempt in range(MAX_BACKTRACKS + 1):
             candidate = coef + scale * g
-            if step < config.steps - 1:
-                cand_rho, cand_g = ws.densities(candidate, floor)
-                held = cand_g is not None
-            else:  # no later step reads the last step's gradient
-                (cand_rho, held), cand_g = ws.clears(candidate, floor), None
-            if held:
-                f_new, obj_new = objective(candidate, cand_rho)
+            # no later step reads the last step's gradient
+            reading = ws.read(candidate, floor, stop=True, grad=step < config.steps - 1)
+            if reading.lowest >= floor:
+                obj_new = objective(candidate, reading.loglik)
                 monotone = (not all_complete or np.isnan(obj_new)
                             or obj_new >= current_obj - 1e-12 * (1 + abs(current_obj)))
                 if monotone:
@@ -217,9 +270,9 @@ def refine(model: Model, data: Dataset, config: RefineConfig) -> tuple[Model, li
             raise PositivityError(
                 f"step {step}: no acceptable step after {MAX_BACKTRACKS} reductions"
             )
-        coef, g = candidate, cand_g
+        coef, g = candidate, reading.grad
         current_obj = obj_new
-        trace.append(TraceStep(step, f_new, obj_new, scale))
+        trace.append(TraceStep(step, reading.loglik, obj_new, scale))
     return model.with_coefficients(coef), trace
 
 
@@ -298,8 +351,8 @@ def find_negative_witness(model: Model, budget: int = 512):
     Discrete coordinates snap to their nearest admissible grid value
     before evaluation.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if not _whole(budget) or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
     candidates = _candidate_points(model.d)
     best_point = None
     best_value = 0.0

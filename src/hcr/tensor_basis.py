@@ -207,13 +207,14 @@ class BasisSpec:
         Family1D._write_orders writes orders 1..top of the coordinates some
         function reads straight into their rows; then a factor at a NaN
         cell reads 0, written in place, so every function whose support
-        misses a cell of a point is exactly 0 there."""
-        points = np.asarray(points, dtype=float).T.copy()  # coordinate, point
+        misses a cell of a point is exactly 0 there.  The points are read
+        through a transposed view, copied only when they hold a NaN."""
+        points = np.asarray(points, dtype=float).T  # coordinate, point
         n = points.shape[1]
         missing = np.isnan(points)
         gaps = missing.any()
-        if gaps:
-            points[missing] = 0.0  # checked and evaluated at 0, then overwritten with 0
+        if gaps:  # checked and evaluated at 0, then overwritten with 0
+            points = np.where(missing, 0.0, points)
         if out is None:
             out = np.empty((self.single_count, n))
         for family, cols, read, rows, top in self._columns:
@@ -239,34 +240,33 @@ class BasisSpec:
             mats[-1][bi, ai] = coef[fun]
         return head, mats
 
-    def contract(self, coef: np.ndarray, blocks, out: np.ndarray, floor=None,
-                 usable=None, stop: bool = False, grad=None, slopes=None,
-                 layout=None) -> bool:
-        """The density coef . f at every column of (rows, S) of blocks, S
-        being zero-filled single rows (_singles), into out[rows] (layout,
-        if given, is _layout(coef)).  Returns whether every usable density
-        (a mask over out) is >= floor, True without one; with stop, no
-        block after the first below it is read.  Given grad (zeros per
-        function), adds each block's _sums at weights 1 / out[rows] into it
-        while every usable density so far is >= floor, so its sums are whole
-        when the pass returns True.  Given slopes (zeros, single_count rows,
-        columns as out), adds each column's slope along every single row:
+    def contract(self, coef: np.ndarray, blocks, slopes=None, layout=None):
+        """For each (rows, S) of blocks, S being zero-filled single rows
+        (_singles), yields (rows, rho, S, P): the density coef . f at every
+        column of S, S itself and its product rows P (_products).  rho and
+        P are written into buffers sized for the first block (the
+        largest), so all three stay valid until the next block is read.
+        layout, if given, is _layout(coef).  Given slopes (zeros,
+        single_count rows, a column per record), each block first adds
+        into slopes[:, rows] each column's slope along every single row:
         coef times the other factors of the functions reading it, 0 if none.
 
         Per block: the constant, a GEMV over the one-factor functions' rows,
         and per level above a GEMM of its coefficients over its prefix rows,
-        times its last rows, summed.  _sums reads those rows transposed;
-        slopes read them and the product rows backwards, one column at a
-        time (_columns), so that no column depends on its neighbours.
+        times its last rows, summed, each GEMM result dropped once read.
+        Slopes read those rows and the product rows backwards, one column
+        at a time (_columns), so that no column depends on its neighbours.
         """
         (head, mats), span = layout or self._layout(coef), self._head[1]
         mul = np.matmul if slopes is None else _columns
-        m, buffer, held = self.factor_count - 1 - self.single_count, None, True
+        m, buffer, densities = self.factor_count - 1 - self.single_count, None, None
         for rows, S in blocks:
-            buffer = np.empty(m * S.shape[1]) if buffer is None else buffer
-            P = buffer[:m * S.shape[1]].reshape(m, S.shape[1])
+            n = S.shape[1]
+            buffer = np.empty(m * n) if buffer is None else buffer
+            densities = np.empty(n) if densities is None else densities
+            P, r = buffer[:m * n].reshape(m, n), densities[:n]
             self._products(S, P)
-            r = mul(head, S[span])
+            r[:] = mul(head, S[span])
             r += coef[0]  # the constant
             if slopes is not None:
                 D, dP = slopes[:, rows], np.zeros_like(P)
@@ -278,20 +278,13 @@ class BasisSpec:
                     (dP if products else D)[arows] += _columns(C.T, S[brows])
                 T *= S[brows]
                 r += T.sum(axis=0)
+                del T  # before the next level's GEMM, and the next block's rows
             if slopes is not None:  # back through the product rows, longest prefixes first
                 for k, (prows, left, right) in reversed(list(enumerate(self._prefixes))):
                     np.add.at(D, right, dP[prows] * (P if k else S)[left])
                     np.add.at(dP if k else D, left, dP[prows] * S[right])
-            out[rows] = r
-            if floor is None or not held:
-                continue
-            if not np.min(r, where=usable[rows], initial=np.inf) >= floor:  # NaN fails
-                if stop:
-                    return False
-                held = False
-            elif grad is not None:
-                grad += self._sums(S, P, 1.0 / r)
-        return held
+                del D, dP
+            yield rows, r, S, P
 
     def _sums(self, S: np.ndarray, P=None, w=None) -> np.ndarray:
         """Sum of w times f over the columns of single rows S for every
@@ -348,6 +341,11 @@ class BasisSpec:
                 )
             out *= self.families[i].eval(j[i], xi)
         return out
+
+
+def _whole(value) -> bool:
+    """Whether value is an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _blocks(spec: BasisSpec, n: int, per_value: int = 1):

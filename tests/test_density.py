@@ -87,6 +87,11 @@ def test_marginalize_drops_foreign_supports():
         marginalize(m, set())
     with pytest.raises(ValueError):
         marginalize(m, {0, 5})
+    # a bool or float is no coordinate index, as for conditional_slice
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"coordinate {bad!r} is not an index in 0..1"):
+            marginalize(m, {bad})
+    assert marginalize(m, {np.int64(0)}).spec.selected == mx.spec.selected
 
 
 def test_slice_of_constant_model():

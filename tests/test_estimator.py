@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hcr import (NO_EVIDENCE, UNCERTAINTY_UNDEFINED, BasisSpec, Dataset, Model,
-                 RefineConfig, adapt, build_full, discrete, evaluate_points, fit,
-                 lambda_schedule, legendre, prune, refine, support, tensor_basis, trig)
+                 RefineConfig, adapt, build_full, discrete, evaluate_points, fit, gradient,
+                 lambda_schedule, legendre, log_likelihood, prune, refine, support,
+                 tensor_basis, trig)
 from hcr.likelihood import _Workspace
 
 SQ3 = math.sqrt(3.0)
@@ -194,8 +195,17 @@ def test_lambda_schedule():
     ratios = s[1:] / s[:-1]
     assert np.allclose(ratios, ratios[0])
     assert len(lambda_schedule(1)) == 1
+    assert len(lambda_schedule(np.int64(3))) == 3
     with pytest.raises(ValueError):
         lambda_schedule(0)
+    for bad in (2.5, True, 3.0):  # 2.5 and 3.0 gave 3 rates, True gave 1
+        with pytest.raises(ValueError, match=f"horizon must be an integer >= 1, got {bad!r}"):
+            lambda_schedule(bad)
+    # adapt's rate range (0, 1), NaN outside it
+    for start, end in ((float("nan"), 0.001), (0.05, float("nan")), (0.0, 0.001),
+                       (1.0, 0.001), (0.05, 0.0), (0.05, -0.1), (1.5, 0.5)):
+        with pytest.raises(ValueError, match="rate must lie in"):
+            lambda_schedule(3, start, end)
 
 
 def test_prune_removes_insignificant_terms():
@@ -489,7 +499,7 @@ def _workspace_pass_peak(model, data):
     reads every block (no floor stops it)."""
     tracemalloc.start()
     try:
-        _Workspace(model, data).densities(model.coef, -np.inf, stop=False)
+        _Workspace(model, data).read(model.coef, -np.inf, grad=True)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -511,27 +521,43 @@ def test_refine_workspace_holds_single_rows_and_one_block():
     assert peak < (spec.single_count * data.n + tensor_basis.FIT_BLOCK) * 8, peak
 
 
-def _refine_peak(n):
+def _pass_peak(op, n):
+    """The tracemalloc peak of refine (two steps), log_likelihood or
+    gradient at the uniform density on n records of _twenty_k_by_six."""
     spec, data = _twenty_k_by_six(n)
     model = Model(spec, np.zeros(len(spec)), {}, {})  # the uniform density
-    config = RefineConfig(steps=2, step_size=0.01)
-    refine(model, Dataset(data.values[:10]), config)  # first-call allocations stay out
+    call = {"refine": lambda d: refine(model, d, RefineConfig(steps=2, step_size=0.01)),
+            "log_likelihood": lambda d: log_likelihood(model, d),
+            "gradient": lambda d: gradient(model, d)}[op]
+    call(Dataset(data.values[:100]))  # first-call allocations stay out
     tracemalloc.start()
     try:
-        refine(model, data, config)
+        call(data)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def _bytes_per_added_record(op):
+    return (_pass_peak(op, 80_000) - _pass_peak(op, 20_000)) / 60_000
+
+
 def test_refine_memory_grows_by_a_few_floats_per_record():
     spec, _ = _twenty_k_by_six(10)
-    small, large = _refine_peak(20_000), _refine_peak(80_000)
-    per_record = (large - small) / 60_000
-    # densities of the step and of its candidate, the masks and the complete
-    # rows' log-densities; keeping every record's single rows would add
-    # spec.single_count = 24 floats per record
-    assert per_record < 4 * 8 < spec.single_count * 8, per_record
+    per_record = _bytes_per_added_record("refine")
+    # the usable and complete masks, one byte each; keeping the densities
+    # took 18 bytes per record, and keeping every record's single rows would
+    # add spec.single_count = 24 floats
+    assert per_record < 4 < spec.single_count * 8, per_record
+
+
+@pytest.mark.parametrize("op", ["log_likelihood", "gradient"])
+def test_likelihood_passes_grow_by_their_masks_per_record(op):
+    # the masks of the workspace pass; log_likelihood's copy of the complete
+    # records and its densities took 17 bytes per record, gradient's
+    # densities 10
+    per_record = _bytes_per_added_record(op)
+    assert per_record < 4, per_record
 
 
 def test_fit_holds_one_block_of_values_at_a_time():
@@ -579,6 +605,8 @@ def test_evaluate_points_holds_less_than_one_block_of_values():
     spec, data = _twenty_k_by_six()
     model = fit(spec, data)
     complete = data.values[data.complete_mask()]
-    # one refilled buffer of single rows and one of product rows, a level's
-    # GEMM temporaries and the densities
-    assert _peak(evaluate_points, model, complete) < tensor_basis.FIT_BLOCK * 8
+    # one refilled buffer of single rows and one of product rows and
+    # densities, one level's GEMM result and the output (0.53 blocks of
+    # values while the NaN mask, a transposed copy of each block and the
+    # previous level's GEMM result stayed alive)
+    assert _peak(evaluate_points, model, complete) < 0.47 * tensor_basis.FIT_BLOCK * 8

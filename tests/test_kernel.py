@@ -473,19 +473,43 @@ def test_workspace_reductions_match_the_function_values(rows, seed, d, missing, 
     with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", rows * len(model.spec)):
         ws = _Workspace(model, Dataset(values))
         # BLAS sums in its own order: each sum to 1e-12 of its terms' absolute sum
-        rho, _ = ws.densities(model.coef, None, stop=False)
+        rho = stored_reading(model.spec, model.coef, values)[0]
         assert np.all(np.abs(rho - model.coef @ V) <= 1e-12 * (np.abs(model.coef) @ np.abs(V)))
         # the gradient is taken at the pass's own densities, so shrink the
         # model toward the uniform density until every one is above 0.1
         coef = model.coef * (0.9 / max(0.9, 1.0 - float(rho.min())))
         coef[0] = 1.0
-        rho, grad = ws.densities(coef, _POSITIVE)
+        rho = stored_reading(model.spec, coef, values)[0]
+        reading = ws.read(coef, _POSITIVE, grad=True)
+    assert_reduces(reading, rho, ws.usable, ws.complete)
     w = 1 / rho
     has = ws.counts > 0
     want = np.divide(V @ w, ws.counts, out=np.zeros(len(V)), where=has)
     want[0] = 0.0
     scale = np.divide(np.abs(V) @ np.abs(w), ws.counts, out=np.zeros(len(V)), where=has)
-    assert np.all(np.abs(grad - want) <= 1e-12 * scale)
+    assert np.all(np.abs(reading.grad - want) <= 1e-12 * scale)
+
+
+def assert_reduces(reading, rho, usable, complete):
+    """A pass's reading against the densities rho it read: the lowest usable
+    one and its record (the first NaN, else the first lowest), the
+    nonpositive complete records and their count and, with some, the lowest
+    complete density, exactly; without any, the log-likelihood, a sum of
+    block sums, to 1e-12 of the mean |log rho| of np.mean over the stored
+    densities."""
+    lows = np.where(usable, rho, np.inf)
+    k = int(np.argmin(lows)) if usable.any() else -1
+    assert reading.worst == k
+    assert np.array_equal(reading.lowest, lows[k] if usable.any() else np.inf, equal_nan=True)
+    bad = np.flatnonzero(complete & (rho <= 0))
+    assert (reading.bad, reading.bad_count) == (bad[:10].tolist(), bad.size)
+    if bad.size:
+        assert np.array_equal(reading.complete_low, rho[complete].min(), equal_nan=True)
+    elif not complete.any():
+        assert np.isnan(reading.loglik)
+    else:
+        logs = np.log(rho[complete])
+        assert abs(reading.loglik - np.mean(logs)) <= 1e-12 * np.mean(np.abs(logs))
 
 
 def stored_reading(spec, coef, values):
@@ -538,16 +562,16 @@ def test_streamed_pass_equals_the_stored_reading(rows, seed, d, missing, sparse)
     with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", rows * len(spec)):
         ws = _Workspace(model, Dataset(values))
         want, _ = stored_reading(spec, model.coef, values)
-        assert np.array_equal(ws.densities(model.coef, None, stop=False)[0], want)
+        assert_reduces(ws.read(model.coef), want, ws.usable, ws.complete)
         # a model shrunk toward the uniform density, positive at every record
         coef = model.coef * (0.9 / max(0.9, 1.0 - float(want.min())))
         coef[0] = 1.0
-        want, sums = stored_reading(spec, coef, values)
-        rho, grad = ws.densities(coef, _POSITIVE)
-    assert np.array_equal(rho, want)
+        rho, sums = stored_reading(spec, coef, values)
+        reading = ws.read(coef, _POSITIVE, grad=True)
+    assert_reduces(reading, rho, ws.usable, ws.complete)
     want = np.divide(sums, ws.counts, out=np.zeros_like(sums), where=ws.counts > 0)
     want[0] = 0.0
-    assert np.array_equal(grad, want)
+    assert np.array_equal(reading.grad, want)
 
 
 def test_a_pass_stops_at_the_first_block_below_the_floor():
@@ -557,13 +581,17 @@ def test_a_pass_stops_at_the_first_block_below_the_floor():
     with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", len(spec)):  # one row per block
         ws = _Workspace(model, Dataset(values))
         with mock.patch.object(spec, "_singles", wraps=spec._singles) as singles:
-            rho, grad = ws.densities(model.coef, 0.2)
-            assert grad is None and singles.call_count == 2  # the blocks of rows 0 and 1
-            assert rho[0] > 1.6 and rho[1] < 0.2
-            rho, grad = ws.densities(model.coef, 0.2, stop=False)  # every density, no sums
-            assert grad is None and singles.call_count == 6
-            assert rho[1] < 0.2 and rho[2:].tolist() == [1.0, 1.0]
-            assert ws.densities(model.coef, 0.1)[1] is not None  # every density clears 0.1
+            reading = ws.read(model.coef, 0.2, stop=True, grad=True)
+            assert reading.grad is None and singles.call_count == 2  # the blocks of rows 0 and 1
+            assert reading.worst == 1 and reading.lowest < 0.2
+            reading = ws.read(model.coef, 0.2, grad=True)  # every block, no sums
+            assert reading.grad is None and singles.call_count == 6
+            assert reading.worst == 1 and reading.lowest < 0.2
+            # the complete records 0, 1 and 3; record 2 knows nothing (density 1)
+            want = np.mean(np.log(1 + 0.5 * math.sqrt(3) * np.array([0.8, -1.0, 0.0])))
+            assert reading.loglik == pytest.approx(want, rel=1e-12)
+            # every density clears 0.1
+            assert ws.read(model.coef, 0.1, stop=True, grad=True).grad is not None
 
 
 def test_the_last_step_checks_the_margin_without_gradient_sums():
@@ -571,12 +599,17 @@ def test_the_last_step_checks_the_margin_without_gradient_sums():
     data = Dataset(np.random.default_rng(8).beta(2.0, 3.0, (40, 2)))
     model = hcr.fit(spec, data)
     config = RefineConfig(steps=2, step_size=1000.0, positivity_margin=0.05)  # backtracks
-    with mock.patch.object(spec, "contract", wraps=spec.contract) as contract:
+    with mock.patch.object(_Workspace, "read", autospec=True,
+                           side_effect=_Workspace.read) as read, \
+            mock.patch.object(spec, "_sums", wraps=spec._sums) as block_sums:
         _, trace = refine(model, data, config)
-    sums = [call.kwargs.get("grad") is not None for call in contract.call_args_list]
-    # the starting pass and step 0's candidates build gradient sums; step 1's,
+    asked = [call.kwargs["grad"] for call in read.call_args_list]
+    # the starting pass and step 0's candidates ask for gradient sums; step 1's,
     # after the same number of shrinks, do not
-    assert sums == [True] * 5 + [False] * 4
+    assert asked == [True] * 5 + [False] * 4
+    # the 40 records are one block: the sums are built at the start and at
+    # step 0's accepted candidate, not at a candidate below the margin
+    assert block_sums.call_count == 2
     assert [t.step_scale for t in trace] == [125.0, 125.0]
     # as the last step, step 0 is accepted at the same scale, bit for bit
     _, first = refine(model, data, RefineConfig(steps=1, step_size=1000.0,
@@ -594,13 +627,19 @@ def test_evaluate_points_and_refine_read_one_kernel(rows, seed, d, n, sparse):
     data = Dataset(values.reshape(n, d))  # complete records
     with mock.patch.object(hcr.tensor_basis, "FIT_BLOCK", rows * len(spec)):
         ws = _Workspace(model, data)
-        rho, _ = ws.densities(model.coef, None)
-        assert np.array_equal(evaluate_points(model, data.values), rho)
+        rho = evaluate_points(model, data.values)
+        assert np.array_equal(rho, stored_reading(spec, model.coef, data.values)[0])
+        reading = ws.read(model.coef)
+        assert_reduces(reading, rho, ws.usable, ws.complete)
         if rho.min() > 0:
-            assert log_likelihood(model, data) == ws.loglik(rho)
+            assert log_likelihood(model, data) == reading.loglik
         else:
-            with pytest.raises(NonpositiveMassError):
+            with pytest.raises(NonpositiveMassError) as err:
                 log_likelihood(model, data)
+            bad = np.flatnonzero(rho <= 0)
+            assert str(err.value).startswith(f"nonpositive density at records {bad[:10].tolist()}"
+                                             f"{'...' if bad.size > 10 else ''};")
+            assert err.value.denominator == rho.min()
 
 
 def test_workspace_keeps_only_the_single_rows_read():
@@ -609,7 +648,7 @@ def test_workspace_keeps_only_the_single_rows_read():
     ws = _Workspace(Model(spec, np.zeros(len(spec)), {}, {}), Dataset(values))
     assert (len(spec), spec.factor_count) == (17, 9)  # the constant and the 8 single rows
     with mock.patch.object(spec, "_singles", wraps=spec._singles) as singles:
-        ws.densities(np.zeros(len(spec)), _POSITIVE)
+        ws.read(np.zeros(len(spec)), _POSITIVE, grad=True)
     # orders 1..4 of coordinates 0 and 1
     assert [call.args[0].shape for call in singles.call_args_list] == [(5, 10)]
     assert spec._singles(values).shape == (8, 5)

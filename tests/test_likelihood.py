@@ -162,6 +162,10 @@ def test_gradient_skips_unsupported_terms():
 def test_refine_config_validation():
     with pytest.raises(ValueError):
         RefineConfig(steps=-1, step_size=0.1)
+    for bad in (2.5, True, float("nan")):  # 2.5 ended in a bare TypeError, True ran one step
+        with pytest.raises(ValueError, match=f"steps must be an integer >= 0, got {bad!r}"):
+            RefineConfig(steps=bad, step_size=0.1)
+    assert RefineConfig(steps=np.int64(2), step_size=0.1).steps == 2
     with pytest.raises(ValueError):
         RefineConfig(steps=1, step_size=0.0)
     with pytest.raises(ValueError):
@@ -292,6 +296,10 @@ def test_witness_finds_center_dip():
     assert find_negative_witness(m, budget=2) is None
     with pytest.raises(ValueError):
         find_negative_witness(m, budget=0)
+    for bad in (2.5, True):  # a bare TypeError from range, and a one-point scan
+        with pytest.raises(ValueError, match=f"budget must be an integer >= 1, got {bad!r}"):
+            find_negative_witness(m, bad)
+    assert find_negative_witness(m, np.int64(2)) is None
 
 
 def test_witness_snaps_to_discrete_grid():
